@@ -38,7 +38,7 @@ from math import comb, factorial
 from fractions import Fraction
 
 from . import conformal as cf
-from .exact import ExactScalar, ZERO, scal
+from .exact import ExactScalar, ZERO, acc, scal
 from .grassmann import DERIVE, MASK_ALL, STAR, complement, mask_of, size
 
 Key = tuple[int, int]          # (t power, mask); CKEY is the central element
@@ -105,14 +105,6 @@ def psi_default(a: Key, b: Key) -> ExactScalar:
     return ZERO
 
 
-def _acc(d: dict, key, c: ExactScalar) -> None:
-    w = d.get(key, ZERO) + c
-    if w.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = w
-
-
 @lru_cache(maxsize=None)
 def _key_bracket_plain(m: int, im: int, n: int, jm: int) -> tuple:
     """[t^m xi_I, t^n xi_J] without the central term, frozen."""
@@ -121,7 +113,7 @@ def _key_bracket_plain(m: int, im: int, n: int, jm: int) -> tuple:
     if s:
         c = 2 * n - 2 * m - n * size(im) + m * size(jm)
         if c and m + n - 1 >= 0:
-            _acc(out, (m + n - 1, mm), scal(c * s))
+            acc(out, (m + n - 1, mm), scal(c * s))
     sgn = (-1) ** size(im)
     for i in (1, 2, 3, 4):
         si, mi = DERIVE[i][im]
@@ -129,7 +121,7 @@ def _key_bracket_plain(m: int, im: int, n: int, jm: int) -> tuple:
         if si and sj:
             st, mk = STAR[mi][mj]
             if st:
-                _acc(out, (m + n, mk), scal(sgn * si * sj * st))
+                acc(out, (m + n, mk), scal(sgn * si * sj * st))
     return tuple(out.items())
 
 
@@ -144,10 +136,10 @@ def bracket(a: Element, b: Element, psi=psi_default) -> Element:
                 continue
             cab = ca * cb
             for key, c in _key_bracket_plain(*ka, *kb):
-                _acc(out, key, c * cab)
+                acc(out, key, c * cab)
             pc = psi(ka, kb)
             if not pc.is_zero():
-                _acc(out, CKEY, pc * cab)
+                acc(out, CKEY, pc * cab)
     return out
 
 
@@ -162,8 +154,10 @@ def basis(max_tpow: int, with_central: bool = True) -> list[Key]:
     return keys
 
 
-def basis_of_degree(d: int, max_tpow: int = 8) -> list[Key]:
-    return [k for k in basis(max_tpow, with_central=False) if grade_key(k) == d]
+def basis_of_degree(d: int) -> list[Key]:
+    # 2m + |I| - 2 = d puts every key of degree d at t-power m <= (d + 2) // 2
+    return [k for k in basis(max(0, (d + 2) // 2), with_central=False)
+            if grade_key(k) == d]
 
 
 # -- axiom checks ------------------------------------------------------------
@@ -194,9 +188,9 @@ def check_jacobi(max_tpow: int = 3, psi=psi_default) -> JacobiReport:
                 lhs = bracket(singles[a], pair[b, c], psi)
                 rhs = bracket(ab, singles[c], psi)
                 for k, v in bracket(singles[b], pair[a, c], psi).items():
-                    _acc(rhs, k, sgn * v)
+                    acc(rhs, k, sgn * v)
                 for k, v in rhs.items():
-                    _acc(lhs, k, -v)
+                    acc(lhs, k, -v)
                 if lhs:
                     rep.failures.append((a, b, c))
                 rep.triples_checked += 1
@@ -282,7 +276,7 @@ def _lie_key_bracket(k1: int, m1: int, y1: int, k2: int, m2: int, y2: int) -> tu
         for (k, mask), c in elem.items():
             red_c, key = _reduce_gen(k, mask, y1 + y2 - j)
             if key is not None and not red_c.is_zero():
-                _acc(out, key, c * cf_j * red_c)
+                acc(out, key, c * cf_j * red_c)
     return tuple(out.items())
 
 
@@ -293,7 +287,7 @@ def lie_bracket_K4(a: LieElement, b: LieElement) -> LieElement:
         for kb, cb in b.items():
             cab = ca * cb
             for key, c in _lie_key_bracket(*ka, *kb):
-                _acc(out, key, c * cab)
+                acc(out, key, c * cab)
     return out
 
 
@@ -312,10 +306,10 @@ def phi(a: LieElement) -> Element:
     out: Element = {}
     for (k, mask, y), c in a.items():
         if mask != MASK_ALL:
-            _acc(out, (y, mask), c)
+            acc(out, (y, mask), c)
         else:
             if y >= 1:
-                _acc(out, (y - 1, MASK_ALL), scal(-y) * c)
+                acc(out, (y - 1, MASK_ALL), scal(-y) * c)
     return out
 
 
@@ -326,9 +320,9 @@ def section(a: Element) -> LieElement:
         if (m, mask) == CKEY:
             raise ValueError("the central element has no preimage")
         if mask != MASK_ALL:
-            _acc(out, (0, mask, m), c)
+            acc(out, (0, mask, m), c)
         else:
-            _acc(out, (1, MASK_ALL, m + 1), c * scal(Fraction(-1, m + 1)))
+            acc(out, (1, MASK_ALL, m + 1), c * scal(Fraction(-1, m + 1)))
     return out
 
 
@@ -340,7 +334,7 @@ def psi_from_splitting(a: Key, b: Key) -> ExactScalar:
     plain = drop_central(bracket(ea, eb))
     diff = dict(lie)
     for k, c in section(plain).items():
-        _acc(diff, k, -c)
+        acc(diff, k, -c)
     for key, c in diff.items():
         if key != KERNEL_KEY and not c.is_zero():
             raise ArithmeticError(f"splitting defect is not central: {key}")

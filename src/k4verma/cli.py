@@ -4,9 +4,6 @@ Every subcommand prints one JSON report to stdout (or --out) and exits
 nonzero when any contained check fails.  Reports list their checks in a
 fixed order and serialize exact scalars as {"re": "p/q", "im": "p/q"},
 so identical invocations produce identical output apart from timing.
-
-K4V_THREADS caps the worker pool used for independent (weight, degree)
-jobs; the report order never depends on completion order.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import annihilation as an
@@ -28,22 +24,6 @@ from . import solver as sv
 from .exact import ONE, scal
 from .grassmann import indices_of
 from .weights import Weight, weight
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("K4V_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_jobs(fn, jobs):
-    jobs = list(jobs)
-    nt = _threads()
-    if nt == 1 or len(jobs) < 2:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=nt) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _check(name: str, ok: bool, **payload) -> dict:
@@ -168,6 +148,13 @@ def _parse_weight(text: str) -> Weight:
                   Fraction(parts[2]), Fraction(parts[3]))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def cmd_search(args) -> int:
     t0 = time.time()
     wt = args.weight
@@ -236,17 +223,16 @@ def cmd_verify_theorems(args) -> int:
         return _check(f"weight {_wt_name(wt)}", good and vecs_ok,
                       instances=[f"{lab}({m},{n})" for lab, m, n in instances])
 
-    checks = _map_jobs(job, sorted(table.items(),
-                                   key=lambda kv: mo._node_sort_key(kv[0])))
+    checks = [job(item) for item in sorted(
+        table.items(), key=lambda kv: mo._node_sort_key(kv[0]))]
 
     def neg_job(wt):
         res = sv.classify(wt, (1, 2, 3), cross_check=False)
         empty = all(res[d].kernel_dim == 0 for d in (1, 2, 3))
         return _check(f"off-list {_wt_name(wt)}", empty)
 
-    checks += _map_jobs(neg_job,
-                        _negative_weights(args.max_mn, args.negatives,
-                                          args.seed))
+    checks += [neg_job(wt) for wt in
+               _negative_weights(args.max_mn, args.negatives, args.seed)]
     return _finish(args, checks, t0, {"seed": args.seed})
 
 
@@ -353,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--weight", type=_parse_weight, required=True,
                     metavar="M,N,MT,MC",
                     help="labels m n and rationals mu_t mu_C (as p/q)")
-    se.add_argument("--degree", type=int, required=True)
+    se.add_argument("--degree", type=_positive_int, required=True)
     se.add_argument("--dual-path", action="store_true")
     se.add_argument("--out")
     se.set_defaults(func=cmd_search)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import annihilation as an
-from .exact import ExactScalar, ONE, RowReducer, ZERO, scal
+from .exact import ExactScalar, ONE, RowReducer, acc, scal
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
 from .verma import VVec, act, vvec_add
 from .weights import weight
@@ -26,21 +26,6 @@ DualElement = dict[an.Key, ExactScalar]
 THETA_STAR: DualElement = {(0, 0): scal(-2)}
 
 WT_COADJOINT = weight(0, 0, 2, 0)
-
-
-def _parity(key: an.Key) -> int:
-    return an.parity(key)
-
-
-def _dual_add(a: DualElement, b: DualElement) -> DualElement:
-    out = dict(a)
-    for k, c in b.items():
-        w = out.get(k, ZERO) + c
-        if w.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
 
 
 def _act_elem(g: an.Element, v: VVec) -> VVec:
@@ -57,22 +42,18 @@ def coadjoint_act(x: an.Element, f: DualElement) -> DualElement:
         if xk == an.CKEY:
             continue
         gx = an.grade_key(xk)
-        px = _parity(xk)
+        px = an.parity(xk)
         for fk, fc in f.items():
             gtarget = an.grade_key(fk) - gx
             if gtarget < -2:
                 continue
-            sign = scal(1 if px and _parity(fk) else -1)
+            sign = scal(1 if px and an.parity(fk) else -1)
             for yk in an.basis_of_degree(gtarget):
                 br = an.bracket({xk: xc}, {yk: ONE})
                 c = br.get(fk)
                 if c is None:
                     continue
-                w = out.get(yk, ZERO) + sign * fc * c
-                if w.is_zero():
-                    out.pop(yk, None)
-                else:
-                    out[yk] = w
+                acc(out, yk, sign * fc * c)
     return out
 
 
@@ -88,11 +69,7 @@ def phi_image(v: VVec) -> DualElement:
         for _ in range(k):
             f = coadjoint_act(dict(an.THETA), f)
         for fk, fc in f.items():
-            w = out.get(fk, ZERO) + c * fc
-            if w.is_zero():
-                out.pop(fk, None)
-            else:
-                out[fk] = w
+            acc(out, fk, c * fc)
     return out
 
 
@@ -141,7 +118,7 @@ def check_phi_iso(max_degree: int) -> IsoReport:
 
     u, v0 = vecs[0], vecs[min(3, len(vecs) - 1)]
     combo = vvec_add({k: c * scal(2, 1) for k, c in u.items()}, v0)
-    lin_rhs = _dual_add({k: c * scal(2, 1) for k, c in phi_image(u).items()},
+    lin_rhs = vvec_add({k: c * scal(2, 1) for k, c in phi_image(u).items()},
                         phi_image(v0))
     return IsoReport(max_degree, tuple(dims), tuple(bij), equi,
                      phi_image(combo) == lin_rhs)

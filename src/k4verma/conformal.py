@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact import ExactScalar, ZERO, scal
+from .exact import ExactScalar, acc, scal
 from .grassmann import DERIVE, MASK_ALL, STAR, mask_of, size
 
 Gen = tuple[int, int]               # (pd power, index mask)
@@ -48,19 +48,11 @@ def xi(indices, dpow: int = 0, coeff=1) -> Element:
     return {(dpow, m): c}
 
 
-def _acc(d: dict, key, c: ExactScalar) -> None:
-    w = d.get(key, ZERO) + c
-    if w.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = w
-
-
 def elem_add(a: Element, b: Element, bscale=1) -> Element:
     out = dict(a)
     s = ExactScalar._coerce(bscale)
     for g, c in b.items():
-        _acc(out, g, c * s)
+        acc(out, g, c * s)
     return out
 
 
@@ -87,10 +79,10 @@ def _base_bracket(imask: int, jmask: int) -> tuple:
     if s:
         c = scal((size(imask) - 2) * s)
         if not c.is_zero():
-            _acc(out[0], (1, m), c)
+            acc(out[0], (1, m), c)
         c = scal((size(imask) + size(jmask) - 4) * s)
         if not c.is_zero():
-            _acc(out[1], (0, m), c)
+            acc(out[1], (0, m), c)
     sgn = (-1) ** size(imask)
     for i in (1, 2, 3, 4):
         si, mi = DERIVE[i][imask]
@@ -98,7 +90,7 @@ def _base_bracket(imask: int, jmask: int) -> tuple:
         if si and sj:
             st, mm = STAR[mi][mj]
             if st:
-                _acc(out[0], (0, mm), scal(sgn * si * sj * st))
+                acc(out[0], (0, mm), scal(sgn * si * sj * st))
     return tuple((n, tuple(e.items())) for n, e in out.items() if e)
 
 
@@ -115,7 +107,7 @@ def gen_bracket(ka: int, imask: int, kb: int, jmask: int) -> tuple:
             target = out.setdefault(npow, {})
             cf = scal(comb(kb, j) * (-1) ** ka)
             for g, c in shifted.items():
-                _acc(target, g, c * cf)
+                acc(target, g, c * cf)
     return tuple((n, tuple(e.items())) for n, e in sorted(out.items()) if e)
 
 
@@ -132,7 +124,7 @@ def lambda_bracket(a: Element, b: Element) -> LambdaPoly:
             for n, items in gen_bracket(ka, im, kb, jm):
                 target = out.setdefault(n, {})
                 for g, c in items:
-                    _acc(target, g, c * cf)
+                    acc(target, g, c * cf)
     return {n: e for n, e in out.items() if e}
 
 
@@ -171,7 +163,7 @@ def minus_lambda_minus_pd(p: LambdaPoly) -> LambdaPoly:
             target = out.setdefault(j, {})
             cf = scal(comb(n, j) * (-1) ** n)
             for g, c in shifted.items():
-                _acc(target, g, c * cf)
+                acc(target, g, c * cf)
     return out
 
 
@@ -181,7 +173,7 @@ def poly_sub(p: LambdaPoly, q: LambdaPoly, qscale=1) -> LambdaPoly:
     for n, elem in q.items():
         target = out.setdefault(n, {})
         for g, c in elem.items():
-            _acc(target, g, -c * s)
+            acc(target, g, -c * s)
     return {n: e for n, e in out.items() if e}
 
 
@@ -200,10 +192,10 @@ def sesquilinearity_defect(a: Gen, b: Gen) -> tuple[LambdaPoly, LambdaPoly]:
     for n, elem in base.items():
         t = rhs2.setdefault(n + 1, {})
         for g, c in elem.items():
-            _acc(t, g, c)
+            acc(t, g, c)
         t = rhs2.setdefault(n, {})
         for g, c in apply_pd(elem).items():
-            _acc(t, g, c)
+            acc(t, g, c)
     d2 = poly_sub(lhs2, rhs2)
     return d1, d2
 
@@ -224,7 +216,7 @@ BiPoly = dict[tuple[int, int], Element]  # (lambda power, mu power) -> element
 def _bi_acc(out: BiPoly, key: tuple[int, int], elem, cf: ExactScalar) -> None:
     target = out.setdefault(key, {})
     for g, c in elem:
-        _acc(target, g, c * cf)
+        acc(target, g, c * cf)
 
 
 def jacobi_defect(a: Gen, b: Gen, c: Gen) -> BiPoly:

@@ -1,39 +1,83 @@
 """Exact Gaussian-rational scalars and exact linear algebra.
 
-Every quantity in this package is a complex number with rational real and
-imaginary parts, kept in lowest terms by fractions.Fraction.  Floating point
-is never used.  The linear algebra is plain fraction-free-enough Gaussian
-elimination; matrices stay small (a few hundred rows/columns at most) but
-are sparse, so the kernel computation works on dict-rows and only keeps
-pivot rows around.
+Every quantity in this package is a complex number (a + b i) / d with
+Python ints a, b, d, d > 0 and gcd(a, b, d) = 1, so equal values have equal
+fields.  Most structure constants are Gaussian integers (d = 1); the
+arithmetic skips the gcd there, and the imaginary products for real
+operands.  Floating point is never used.  The linear algebra is plain
+Gaussian elimination; matrices stay small (a few hundred rows/columns at
+most) but are sparse, so the kernel computation works on dict-rows and only
+keeps pivot rows around.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, str, Fraction]
 
-
-def _frac(x: Rat) -> Fraction:
-    # accepts 3, "3", "-5/7", Fraction
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+_new = object.__new__
 
 
-@dataclass(frozen=True)
+def _mk(a: int, b: int, d: int) -> "ExactScalar":
+    # (a, b, d) must already be in normal form
+    s = _new(ExactScalar)
+    s._a = a
+    s._b = b
+    s._d = d
+    return s
+
+
+def _norm(a: int, b: int, d: int) -> "ExactScalar":
+    # d > 0; divide out gcd(a, b, d)
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _mk(a, b, d)
+
+
+def _add(x: "ExactScalar", c: int, e: int, f: int) -> "ExactScalar":
+    # x + (c + e i) / f
+    d = x._d
+    if d == f:
+        a, b = x._a + c, x._b + e
+        if d == 1:
+            return _mk(a, b, 1)
+    else:
+        a, b = x._a * f + c * d, x._b * f + e * d
+        d *= f
+    return _norm(a, b, d)
+
+
 class ExactScalar:
-    """A complex number re + im*i with re, im rational, in lowest terms."""
+    """A complex number (a + b i) / d in lowest terms.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Construct it from rational real and imaginary parts (int, str or
+    Fraction).  The value is immutable: ``re`` and ``im`` are read-only
+    Fraction views, and the integer fields are private, as in Fraction.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re: Rat = 0, im: Rat = 0) -> "ExactScalar":
+        if re.__class__ is int and im.__class__ is int:
+            return _mk(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        return _mk(re.numerator * (d // p), im.numerator * (d // q), d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -42,62 +86,91 @@ class ExactScalar:
         if isinstance(other, ExactScalar):
             return other
         if isinstance(other, (int, Fraction, str)):
-            return ExactScalar(_frac(other))
+            return ExactScalar(other)
         raise TypeError(f"cannot treat {other!r} as an exact scalar")
 
     def __add__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
-        return ExactScalar(self.re + o.re, self.im + o.im)
+        if other.__class__ is not ExactScalar:
+            other = _coerce(other)
+        return _add(self, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.re, -self.im)
+        return _mk(-self._a, -self._b, self._d)
 
     def __sub__(self, other: object) -> "ExactScalar":
-        return self + (-self._coerce(other))
+        if other.__class__ is not ExactScalar:
+            other = _coerce(other)
+        return _add(self, -other._a, -other._b, other._d)
 
     def __rsub__(self, other: object) -> "ExactScalar":
-        return self._coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
-        return ExactScalar(self.re * o.re - self.im * o.im,
-                           self.re * o.im + self.im * o.re)
+        if other.__class__ is not ExactScalar:
+            other = _coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        d = self._d * other._d
+        if d == 1:
+            return _mk(a, b, 1)
+        return _norm(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "ExactScalar":
-        o = self._coerce(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
+        if other.__class__ is not ExactScalar:
+            other = _coerce(other)
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        if e:
+            # (a + b i)(c - e i) / (c^2 + e^2)
+            a, b = (a * c + b * e) * f, (b * c - a * e) * f
+            n = c * c + e * e
+        elif c:
+            if c < 0:
+                a, b, c = -a, -b, -c
+            a, b, n = a * f, b * f, c
+        else:
             raise ZeroDivisionError("division by zero exact scalar")
-        return ExactScalar((self.re * o.re + self.im * o.im) / n,
-                           (self.im * o.re - self.re * o.im) / n)
+        return _norm(a, b, self._d * n)
 
     def __rtruediv__(self, other: object) -> "ExactScalar":
-        return self._coerce(other) / self
+        return _coerce(other) / self
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
+        return _mk(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExactScalar:
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     # -- I/O ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i" if abs(self.im) != 1 else ("i" if self.im > 0 else "-i")
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i" if abs(im) != 1 else ("i" if im > 0 else "-i")
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imtxt = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{imtxt}"
+        return f"{re}{sign}{imtxt}"
 
     def __repr__(self) -> str:
         return f"ExactScalar({self})"
@@ -110,15 +183,25 @@ class ExactScalar:
         return cls(Fraction(d["re"]), Fraction(d["im"]))
 
 
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
-I = ExactScalar(0, 1)
-HALF = ExactScalar(Fraction(1, 2))
+_coerce = ExactScalar._coerce
+
+ZERO = _mk(0, 0, 1)
+ONE = _mk(1, 0, 1)
+I = _mk(0, 1, 1)
+HALF = _mk(1, 0, 2)
+
+scal = ExactScalar  # the shorthand used all over the tests
 
 
-def scal(re: Rat = 0, im: Rat = 0) -> ExactScalar:
-    """Shorthand constructor used all over the tests."""
-    return ExactScalar(_frac(re), _frac(im))
+def acc(d: dict, key, c: ExactScalar) -> None:
+    """d[key] += c for a sparse dict of scalars; zero sums drop the key."""
+    w = d.get(key)
+    if w is not None:
+        c = w + c
+    if c._a or c._b:
+        d[key] = c
+    else:
+        d.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactScalar, I, ONE, RowReducer, ZERO, scal, sparse_nullspace
+from .exact import ExactScalar, I, ONE, RowReducer, acc, scal, sparse_nullspace
 from .grassmann import ALL_MASKS, complement, HODGE, indices_of, mask_of, size
 from .verma import VKey, VVec, act, degree, dual_lambda_action, \
     lambda_action, vvec_add, w_mul
@@ -69,12 +69,7 @@ def _assemble_rows(wt: Weight, cols: list[VKey], dual: bool) -> list[dict]:
         for tag, combo in _E_ROWS:
             for sc, pmask in combo:
                 for out_vk, c in lam[pmask].get(0, {}).items():
-                    row = rows.setdefault((16, tag, out_vk), {})
-                    w = row.get(ci, ZERO) + sc * c
-                    if w.is_zero():
-                        row.pop(ci, None)
-                    else:
-                        row[ci] = w
+                    acc(rows.setdefault((16, tag, out_vk), {}), ci, sc * c)
     return [rows[key] for key in sorted(rows, key=repr)]
 
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import annihilation as an
-from .exact import ExactScalar, ONE, ZERO, scal
+from .exact import ExactScalar, ONE, acc, scal
 from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, STAR, complement,
                         derive_seq, indices_of, mask_of, normalize, size)
 from .weights import MonKey, Vector, Weight, act_g0, pair_mask
@@ -52,14 +52,6 @@ _T_T = ("t",)
 _T_C = ("C",)
 
 
-def _acc(d: dict, key, c: ExactScalar) -> None:
-    w = d.get(key, ZERO) + c
-    if w.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = w
-
-
 def vvec(k: int, indices, mon: MonKey, coeff=1) -> VVec:
     c = ExactScalar._coerce(coeff)
     mask = indices if isinstance(indices, int) else mask_of(indices)
@@ -70,7 +62,7 @@ def vvec_add(a: VVec, b: VVec, bscale=1) -> VVec:
     out = dict(a)
     s = ExactScalar._coerce(bscale)
     for key, c in b.items():
-        _acc(out, key, c * s)
+        acc(out, key, c * s)
     return out
 
 
@@ -97,7 +89,7 @@ def eta_mul(j: int, v: VVec) -> VVec:
     out: VVec = {}
     for (k, l, mon), c in v.items():
         s, k2, l2 = _eta_shape(j, k, l)
-        _acc(out, (k2, l2, mon), c * s)
+        acc(out, (k2, l2, mon), c * s)
     return out
 
 
@@ -126,7 +118,7 @@ def w_mul(label: str, v: VVec) -> VVec:
     out: VVec = {}
     for c, j in W_DEFS[label]:
         for key, cc in eta_mul(j, v).items():
-            _acc(out, key, cc * c)
+            acc(out, key, cc * c)
     return out
 
 
@@ -221,10 +213,10 @@ def _theta_step(prev: tuple, imask: int, kprev: int, lmask: int) -> tuple:
     """V_k = (Theta + lambda) V_{k-1} - chi_{|I|=4} eps_I Theta^{k-1} eta_L Cv."""
     out: dict = {}
     for (lp, c, k2, l2, tok) in prev:
-        _acc(out, (lp, k2 + 1, l2, tok), c)
-        _acc(out, (lp + 1, k2, l2, tok), c)
+        acc(out, (lp, k2 + 1, l2, tok), c)
+        acc(out, (lp + 1, k2, l2, tok), c)
     if size(imask) == 4:
-        _acc(out, (0, kprev, lmask, _T_C), scal(-EPS[imask]))
+        acc(out, (0, kprev, lmask, _T_C), scal(-EPS[imask]))
     return tuple((lp, c, k2, l2, tok) for (lp, k2, l2, tok), c in out.items())
 
 
@@ -356,7 +348,7 @@ def _eval_template(terms, mon: MonKey, coeff: ExactScalar, wt: Weight,
             fv = act_g0((0, tok[1]), wt, base)
         target = out.setdefault(lp, {}) if with_lambda else out
         for m, v in fv.items():
-            _acc(target, (k2, l2, m), v)
+            acc(target, (k2, l2, m), v)
 
 
 def lambda_action(imask_or_indices, v: VVec, wt: Weight) -> LambdaVal:
@@ -381,7 +373,7 @@ def transform_T(v: VVec) -> VVec:
     out: VVec = {}
     for (k, l, mon), c in v.items():
         s, lc = HODGE[l]
-        _acc(out, (k, lc, mon), c * s)
+        acc(out, (k, lc, mon), c * s)
     return out
 
 
@@ -392,21 +384,17 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
     """Symbolic action of t^m xi_I on Theta^k eta_L (x) w; terms
     (coeff, Theta power, eta mask, token)."""
     out: dict = {}
-
-    def add(c: ExactScalar, k2: int, l2: int, tok) -> None:
-        _acc(out, (k2, l2, tok), c)
-
     if k > 0:
         # a.(Theta u) = [a, Theta].u + Theta.(a.u)
         br = an.bracket({(m, imask): ONE}, dict(an.THETA))
         for key, c in br.items():
             if key == an.CKEY:
-                add(c, k - 1, lmask, _T_C)
+                acc(out, (k - 1, lmask, _T_C), c)
             else:
                 for (c2, k2, l2, tok) in _oracle_template(*key, k - 1, lmask):
-                    add(c * c2, k2, l2, tok)
+                    acc(out, (k2, l2, tok), c * c2)
         for (c2, k2, l2, tok) in _oracle_template(m, imask, k - 1, lmask):
-            add(c2, k2 + 1, l2, tok)
+            acc(out, (k2 + 1, l2, tok), c2)
     elif lmask:
         j = indices_of(lmask)[0]
         rest = lmask & ~(1 << (j - 1))
@@ -414,26 +402,26 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
         br = an.bracket({(m, imask): ONE}, {(0, 1 << (j - 1)): ONE})
         for key, c in br.items():
             if key == an.CKEY:
-                add(c, 0, rest, _T_C)
+                acc(out, (0, rest, _T_C), c)
             else:
                 for (c2, k2, l2, tok) in _oracle_template(*key, 0, rest):
-                    add(c * c2, k2, l2, tok)
+                    acc(out, (k2, l2, tok), c * c2)
         sgn = (-1) ** (size(imask) & 1)
         for (c2, k2, l2, tok) in _oracle_template(m, imask, 0, rest):
             s, k3, l3 = _eta_shape(j, k2, l2)
-            add(c2 * s * sgn, k3, l3, tok)
+            acc(out, (k3, l3, tok), c2 * s * sgn)
     else:
         d = an.grade_key((m, imask))
         if d == 0:
             if (m, imask) == (1, 0):
-                add(ONE, 0, 0, _T_T)
+                acc(out, (0, 0, _T_T), ONE)
             else:
-                add(ONE, 0, 0, ("xi", imask))
+                acc(out, (0, 0, ("xi", imask)), ONE)
         elif d < 0:
             if imask == 0:
-                add(scal(-2), 1, 0, None)       # xi_empty = -2 Theta
+                acc(out, (1, 0, None), scal(-2))  # xi_empty = -2 Theta
             else:
-                add(ONE, 0, imask, None)        # eta_i (x) w
+                acc(out, (0, imask, None), ONE)   # eta_i (x) w
         # positive degree annihilates the vacuum vector
     return tuple((c, k2, l2, tok) for (k2, l2, tok), c in out.items())
 

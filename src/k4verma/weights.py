@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from .annihilation import CKEY, Key
-from .exact import ExactMatrix, ExactScalar, I, ONE, ZERO, scal
+from .exact import ExactMatrix, ExactScalar, I, ONE, ZERO, acc, scal
 from .grassmann import mask_of, size
 
 MonKey = tuple[int, int]            # (number of x1 factors, number of y1 factors)
@@ -58,14 +58,6 @@ def weight(m: int, n: int, mu_t, mu_C) -> Weight:
     return Weight(m, n, ExactScalar._coerce(mu_t), ExactScalar._coerce(mu_C))
 
 
-def _acc(d: Vector, key: MonKey, c: ExactScalar) -> None:
-    w = d.get(key, ZERO) + c
-    if w.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = w
-
-
 SL2_OPS = ("h_x", "e_x", "f_x", "h_y", "e_y", "f_y")
 
 
@@ -76,23 +68,23 @@ def apply_sl2(op: str, wt: Weight, vec: Vector) -> Vector:
         if op == "h_x":
             k = 2 * a - m
             if k:
-                _acc(out, (a, b), c * k)
+                acc(out, (a, b), c * k)
         elif op == "h_y":
             k = 2 * b - n
             if k:
-                _acc(out, (a, b), c * k)
+                acc(out, (a, b), c * k)
         elif op == "e_x":
             if a < m:
-                _acc(out, (a + 1, b), c * (m - a))
+                acc(out, (a + 1, b), c * (m - a))
         elif op == "f_x":
             if a > 0:
-                _acc(out, (a - 1, b), c * a)
+                acc(out, (a - 1, b), c * a)
         elif op == "e_y":
             if b < n:
-                _acc(out, (a, b + 1), c * (n - b))
+                acc(out, (a, b + 1), c * (n - b))
         elif op == "f_y":
             if b > 0:
-                _acc(out, (a, b - 1), c * b)
+                acc(out, (a, b - 1), c * b)
         else:
             raise ValueError(f"unknown sl2 operator {op!r}")
     return out
@@ -137,7 +129,7 @@ def act_g0(key: Key, wt: Weight, vec: Vector) -> Vector:
         out: Vector = {}
         for c, op in XI_COMBO[mask]:
             for k, v in apply_sl2(op, wt, vec).items():
-                _acc(out, k, v * c)
+                acc(out, k, v * c)
         return out
     raise ValueError(f"{key} is not a degree-zero basis key")
 
@@ -151,14 +143,6 @@ def pair_mask(j: int, i: int) -> tuple[int, int]:
     return -1, mask_of((i, j))
 
 
-def act_pair(j: int, i: int, wt: Weight, vec: Vector) -> Vector:
-    sign, mask = pair_mask(j, i)
-    if sign == 0:
-        return {}
-    out = act_g0((0, mask), wt, vec)
-    return out if sign == 1 else {k: -c for k, c in out.items()}
-
-
 def hwv(wt: Weight) -> Vector:
     return {(wt.m, wt.n): ONE}
 
@@ -166,14 +150,14 @@ def hwv(wt: Weight) -> Vector:
 def e1(wt: Weight, vec: Vector) -> Vector:
     out = apply_sl2("e_x", wt, vec)
     for k, c in apply_sl2("e_y", wt, vec).items():
-        _acc(out, k, c)
+        acc(out, k, c)
     return out
 
 
 def e2(wt: Weight, vec: Vector) -> Vector:
     out = apply_sl2("e_x", wt, vec)
     for k, c in apply_sl2("e_y", wt, vec).items():
-        _acc(out, k, -c)
+        acc(out, k, -c)
     return out
 
 

@@ -124,3 +124,10 @@ def test_basis_of_degree():
     assert set(an.basis_of_degree(-1)) == {(0, 1), (0, 2), (0, 4), (0, 8)}
     d0 = set(an.basis_of_degree(0))
     assert (1, 0) in d0 and len(d0) == 7  # t and the six xi_ij
+
+
+def test_basis_of_degree_is_complete_at_high_degree():
+    # degree d = 2m + |I| - 2 has 8 keys for every d >= 2; t^9 first shows
+    # up at d = 16, past the t-power cap the basis used to have
+    for d in range(2, 31):
+        assert len(an.basis_of_degree(d)) == 8, d

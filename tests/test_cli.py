@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import k4verma
 from k4verma.cli import main
 
 
@@ -78,3 +82,17 @@ def test_coadjoint_dimension_prefix(capsys):
     assert code == 0
     dims = rep["checks"][0]["dims"]
     assert dims == [1, 4, 7, 8]
+
+
+def test_nonpositive_degree_is_a_usage_error():
+    src = os.path.dirname(os.path.dirname(k4verma.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for degree in ("0", "-3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "k4verma.cli", "search", "--weight",
+             "0,0,2,0", "--degree", degree],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "positive integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -82,3 +82,7 @@ def test_iterated_action_spans_every_dual_line():
 
 def test_raising_comes_back_to_theta_star():
     assert co.raising_returns_to_theta_star(3)
+
+
+def test_phi_is_bijective_past_degree_sixteen():
+    assert all(co.check_phi_iso(18).bijective)

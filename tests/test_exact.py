@@ -1,3 +1,5 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -103,3 +105,113 @@ def test_inverse():
     assert inv.mat_vec(e1) == [ZERO, ONE]
     with pytest.raises(ValueError):
         ExactMatrix([[1, 1], [1, 1]]).inverse()
+
+
+# -- the integer representation against a (Fraction, Fraction) reference ----
+
+rats = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60))
+pairs = st.tuples(rats, rats)
+# a non-scalar operand: (kind, real value); kind picks int, Fraction or str
+plain = st.one_of(
+    st.tuples(st.just("int"), st.integers(-40, 40).map(Fraction)),
+    st.tuples(st.just("frac"), rats),
+    st.tuples(st.just("str"), rats),
+)
+
+
+def _plain_value(kind, q):
+    return int(q) if kind == "int" else str(q) if kind == "str" else q
+
+
+def _ref(op, x, y):
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+
+def _assert_normal(s):
+    assert s._d > 0
+    assert math.gcd(s._a, s._b, s._d) == 1
+    assert type(s._a) is int and type(s._b) is int and type(s._d) is int
+
+
+def _check_op(op, x, y, lhs, rhs):
+    if op == "/" and y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            _OPS[op](lhs, rhs)
+        return
+    got = _OPS[op](lhs, rhs)
+    assert isinstance(got, ExactScalar)
+    _assert_normal(got)
+    assert (got.re, got.im) == _ref(op, x, y)
+
+
+ops = st.sampled_from("+-*/")
+
+
+@given(ops, pairs, pairs)
+def test_scalar_ops_match_fraction_pairs(op, x, y):
+    _check_op(op, x, y, scal(*x), scal(*y))
+
+
+@given(ops, pairs, plain)
+def test_scalar_ops_with_plain_right_operand(op, x, kq):
+    y = (kq[1], Fraction(0))
+    _check_op(op, x, y, scal(*x), _plain_value(*kq))
+
+
+@given(ops, plain, pairs)
+def test_scalar_ops_with_plain_left_operand(op, kq, y):
+    x = (kq[1], Fraction(0))
+    _check_op(op, x, y, _plain_value(*kq), scal(*y))
+
+
+@given(pairs)
+def test_negation_conjugate_and_parts(x):
+    s = scal(*x)
+    _assert_normal(s)
+    assert type(s.re) is Fraction and type(s.im) is Fraction
+    assert (s.re, s.im) == x
+    assert ((-s).re, (-s).im) == (-x[0], -x[1])
+    assert (s.conjugate().re, s.conjugate().im) == (x[0], -x[1])
+    _assert_normal(-s)
+    _assert_normal(s.conjugate())
+    assert s.is_zero() == (x == (0, 0)) == (not s)
+
+
+@given(pairs, pairs)
+def test_equal_scalars_hash_equal(x, y):
+    s, t = scal(*x), scal(*y)
+    assert (s == t) == (x == y)
+    if s == t:
+        assert hash(s) == hash(t)
+    # the same value reached by other routes
+    for u in (scal(str(x[0]), str(x[1])), s + ZERO, s * ONE, -(-s),
+              (s * t) / t if not t.is_zero() else s):
+        assert u == s and hash(u) == hash(s)
+
+
+@given(pairs)
+def test_json_roundtrip_property(x):
+    s = scal(*x)
+    js = s.to_json()
+    assert js == {"re": str(x[0]), "im": str(x[1])}
+    assert ExactScalar.from_json(js) == s
+
+
+def test_scalars_are_immutable():
+    s = scal(1, 2)
+    for name in ("re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, Fraction(3))
+    assert s == scal(1, 2)
