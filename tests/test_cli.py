@@ -2,17 +2,26 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import k4verma
 from k4verma.cli import main
 
+GOLDEN = Path(__file__).parent / "data" / "cli"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def assert_golden(rep: dict, name: str) -> None:
+    """The whole report, timing aside, equals tests/data/cli/<name>.json."""
+    got = {k: v for k, v in rep.items() if k != "elapsed_s"}
+    assert got == json.loads((GOLDEN / f"{name}.json").read_text())
 
 
 def test_axioms_small_bounds_pass(capsys):
@@ -22,6 +31,7 @@ def test_axioms_small_bounds_pass(capsys):
         "conformal-axioms", "derived-subalgebra-closure",
         "annihilation-jacobi", "cocycle-conditions", "quotient-morphism",
         "kernel-is-central", "cocycle-from-splitting"]
+    assert_golden(rep, "axioms_small")
 
 
 def test_corrupted_cocycle_is_detected(capsys):
@@ -32,6 +42,7 @@ def test_corrupted_cocycle_is_detected(capsys):
     assert failed == {"annihilation-jacobi", "cocycle-conditions"}
     jac = next(c for c in rep["checks"] if c["name"] == "annihilation-jacobi")
     assert jac["counterexamples"]
+    assert_golden(rep, "axioms_corrupt")
 
 
 def test_search_reports_the_kernel(capsys):
@@ -44,6 +55,7 @@ def test_search_reports_the_kernel(capsys):
     term = rep["kernel"][0][0]
     assert set(term) == {"theta", "eta", "monomial", "coeff"}
     assert set(term["coeff"]) == {"re", "im"}
+    assert_golden(rep, "search_dual")
 
 
 def test_search_off_list_weight_is_empty(capsys):
@@ -51,6 +63,7 @@ def test_search_off_list_weight_is_empty(capsys):
     assert code == 0
     assert rep["checks"][0]["kernel_dim"] == 0
     assert rep["kernel"] == []
+    assert_golden(rep, "search_off_list")
 
 
 def test_bad_weight_string_is_rejected():
@@ -66,6 +79,7 @@ def test_verify_theorems_sweep(capsys):
     assert sum(1 for s in names if s.startswith("off-list")) == 2
     covered = {i for c in rep["checks"] for i in c.get("instances", [])}
     assert "1a(0,0)" in covered and "3a(1,0)" in covered
+    assert_golden(rep, "verify_theorems")
 
 
 def test_complexes_writes_graph_files(capsys, tmp_path):
@@ -75,6 +89,12 @@ def test_complexes_writes_graph_files(capsys, tmp_path):
     graph = json.loads(out.read_text())
     assert graph["max_mn"] == 1 and graph["duality_involution_ok"]
     assert (tmp_path / "g.dot").read_text().startswith("digraph")
+    rep["files"] = {k: os.path.relpath(v, tmp_path)
+                    for k, v in rep["files"].items()}
+    assert_golden(rep, "complexes")
+    assert out.read_text() == (GOLDEN / "complexes_graph.json").read_text()
+    assert (tmp_path / "g.dot").read_text() == \
+        (GOLDEN / "complexes_graph.dot").read_text()
 
 
 def test_coadjoint_dimension_prefix(capsys):
@@ -82,6 +102,7 @@ def test_coadjoint_dimension_prefix(capsys):
     assert code == 0
     dims = rep["checks"][0]["dims"]
     assert dims == [1, 4, 7, 8]
+    assert_golden(rep, "coadjoint")
 
 
 def test_nonpositive_degree_is_a_usage_error():
