@@ -164,7 +164,7 @@ def basis_of_degree(d: int) -> list[Key]:
 
 @dataclass
 class JacobiReport:
-    triples_checked: int = 0
+    triples_checked: int = 0    # tuples swept: pairs for the quotient check
     failures: list = field(default_factory=list)
 
     @property
@@ -324,6 +324,22 @@ def section(a: Element) -> LieElement:
         else:
             acc(out, (1, MASK_ALL, m + 1), c * scal(Fraction(-1, m + 1)))
     return out
+
+
+def check_quotient_morphism(max_ypow: int) -> JacobiReport:
+    """phi[a, b] = [phi a, phi b] modulo C over all pairs of Lie basis
+    keys with y-power <= max_ypow; failures are the pairs (a, b)."""
+    rep = JacobiReport()
+    keys = lie_basis(max_ypow)
+    singles = {k: {k: scal(1)} for k in keys}
+    for a in keys:
+        for b in keys:
+            lhs = phi(lie_bracket_K4(singles[a], singles[b]))
+            rhs = drop_central(bracket(phi(singles[a]), phi(singles[b])))
+            if lhs != rhs:
+                rep.failures.append((a, b))
+            rep.triples_checked += 1
+    return rep
 
 
 def psi_from_splitting(a: Key, b: Key) -> ExactScalar:

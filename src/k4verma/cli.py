@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from fractions import Fraction
@@ -32,17 +31,8 @@ def _check(name: str, ok: bool, **payload) -> dict:
     return entry
 
 
-def _emit(report: dict, out_path) -> int:
-    text = json.dumps(report, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0 if report["ok"] else 1
-
-
-def _finish(args, checks: list, t0: float, extra: dict | None = None) -> int:
+def _finish(args, checks: list, t0: float, extra: dict | None = None,
+            stdout: bool = False) -> int:
     report = {
         "command": args.command,
         "options": {k: v for k, v in sorted(vars(args).items())
@@ -54,7 +44,13 @@ def _finish(args, checks: list, t0: float, extra: dict | None = None) -> int:
     }
     if extra:
         report.update(extra)
-    return _emit(report, getattr(args, "out", None))
+    text = json.dumps(report, indent=2)
+    if args.out and not stdout:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 0 if report["ok"] else 1
 
 
 def _wt_payload(wt: Weight) -> dict:
@@ -105,22 +101,14 @@ def cmd_axioms(args) -> int:
                          pairs_and_triples=coc.triples_checked,
                          counterexamples=[repr(f) for f in coc.failures[:3]]))
 
-    ymax = min(args.max_tpow + 1, 3)
-    lie = an.lie_basis(ymax)
-    singles = {k: {k: ONE} for k in lie}
-    morphism_ok = True
-    for a in lie:
-        for b in lie:
-            lhs = an.phi(an.lie_bracket_K4(singles[a], singles[b]))
-            rhs = an.drop_central(
-                an.bracket(an.phi(singles[a]), an.phi(singles[b])))
-            if lhs != rhs:
-                morphism_ok = False
-    checks.append(_check("quotient-morphism", morphism_ok,
-                         pairs=len(lie) ** 2))
+    ymax = args.max_tpow + 1
+    quo = an.check_quotient_morphism(ymax)
+    checks.append(_check("quotient-morphism", quo.ok,
+                         pairs=quo.triples_checked, max_ypow=ymax))
 
     kernel = {an.KERNEL_KEY: ONE}
-    central = all(an.lie_bracket_K4(kernel, singles[b]) == {} for b in lie)
+    central = all(an.lie_bracket_K4(kernel, {b: ONE}) == {}
+                  for b in an.lie_basis(ymax))
     checks.append(_check("kernel-is-central", central
                          and an.phi(kernel) == {}))
 
@@ -177,36 +165,9 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _table_weights(max_mn: int):
-    seen = {}
-    for label, fam in sv.FAMILIES.items():
-        for m in range(max_mn + 1):
-            for n in range(max_mn + 1):
-                if sv._family_admits(label, m, n):
-                    seen.setdefault(fam.weight_at(m, n), []).append(
-                        (label, m, n))
-    return seen
-
-
-def _negative_weights(max_mn: int, count: int, seed: int):
-    rng = random.Random(seed)
-    shifts = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
-              Fraction(2), Fraction(3, 2)]
-    out = []
-    while len(out) < count:
-        m, n = rng.randint(0, max_mn), rng.randint(0, max_mn)
-        base = sv.FAMILIES[rng.choice(list(sv.FAMILIES))].weight_at(m, n)
-        wt = weight(m, n, base.mu_t.re + rng.choice(shifts),
-                    base.mu_C.re + rng.choice(shifts))
-        if any(sv.expected_labels(wt, d) for d in (1, 2, 3)):
-            continue
-        out.append(wt)
-    return out
-
-
 def cmd_verify_theorems(args) -> int:
     t0 = time.time()
-    table = _table_weights(args.max_mn)
+    table = sv.table_weights(args.max_mn)
 
     def job(item):
         wt, instances = item
@@ -232,7 +193,7 @@ def cmd_verify_theorems(args) -> int:
         return _check(f"off-list {_wt_name(wt)}", empty)
 
     checks += [neg_job(wt) for wt in
-               _negative_weights(args.max_mn, args.negatives, args.seed)]
+               sv.off_list_weights(args.max_mn, args.negatives, args.seed)]
     return _finish(args, checks, t0, {"seed": args.seed})
 
 
@@ -250,22 +211,7 @@ def cmd_complexes(args) -> int:
         _check("supertrace-t", mo.supertrace_ad({(1, 0): ONE}) == scal(2)),
         _check("supertrace-C", mo.supertrace_ad({an.CKEY: ONE}).is_zero()),
     ]
-
-    cache = {}
-
-    def morphism(e):
-        key = (e.label, e.params)
-        if key not in cache:
-            cache[key] = mo.morphism_from_family(e.label, *e.params)
-        return cache[key]
-
-    bad = []
-    npaths = 0
-    for first, second in mo.two_paths(graph):
-        npaths += 1
-        if not mo.compose_is_zero(morphism(second), morphism(first)):
-            bad.append((first.label, first.params, second.label,
-                        second.params))
+    npaths, bad = mo.check_two_paths(graph)
     checks.append(_check("two-path-compositions-vanish", not bad,
                          paths=npaths, counterexamples=bad[:5]))
 
@@ -275,17 +221,9 @@ def cmd_complexes(args) -> int:
         fh.write(mo.graph_to_json(graph) + "\n")
     with open(dot_path, "w") as fh:
         fh.write(mo.graph_to_dot(graph) + "\n")
-
-    report = {
-        "command": args.command,
-        "options": {"max_mn": args.max_mn},
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-        "files": {"json": json_path, "dot": dot_path},
-        "elapsed_s": round(time.time() - t0, 3),
-    }
-    print(json.dumps(report, indent=2))
-    return 0 if report["ok"] else 1
+    return _finish(args, checks, t0,
+                   {"files": {"json": json_path, "dot": dot_path}},
+                   stdout=True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +234,26 @@ def cmd_complexes(args) -> int:
 def cmd_coadjoint(args) -> int:
     t0 = time.time()
     iso = co.check_phi_iso(args.max_degree)
+    half = args.max_degree // 2
     checks = [
         _check("degreewise-bijective", all(iso.bijective),
-               dims=list(iso.dims)),
-        _check("equivariance-sampled", iso.equivariant),
-        _check("linearity", iso.linear),
+               dims=list(iso.dims), max_degree=iso.max_degree),
+        _check("equivariance-sampled", iso.equivariant,
+               max_degree=iso.sample_degree),
+        _check("linearity", iso.linear, max_degree=iso.sample_degree),
         _check("iterated-action-nonzero",
-               co.iterated_action_hits_dual_basis(3, 4)),
+               co.iterated_action_hits_dual_basis(half), max_theta_pow=half),
         _check("raising-returns-to-theta-star",
-               co.raising_returns_to_theta_star(3)),
+               co.raising_returns_to_theta_star(half), max_tpow=half),
         _check("t-scales-theta-star",
                co.coadjoint_act({(1, 0): ONE}, dict(co.THETA_STAR))
                == {(0, 0): scal(-4)}),
     ]
+    degrees = [1, 2, 3]
     no_sing = all(sv.solve(co.WT_COADJOINT, d).kernel_dim == 0
-                  for d in (1, 2, 3))
-    checks.append(_check("module-has-no-singular-vectors", no_sing))
+                  for d in degrees)
+    checks.append(_check("module-has-no-singular-vectors", no_sing,
+                         degrees=degrees))
     return _finish(args, checks, t0)
 
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from . import annihilation as an
 from .exact import ExactScalar, I, ONE, ZERO, scal
 from .grassmann import mask_of
-from .solver import FAMILIES, _family_admits, build_theorem_vector, \
-    verify_vector
+from .solver import FAMILIES, build_theorem_vector, verify_vector
 from .verma import VVec, act, umult, vvec_add
 from .weights import Weight, lowering_word, weight
 
@@ -148,7 +147,7 @@ def build_complex_graph(max_mn: int) -> ComplexGraph:
     for label, fam in FAMILIES.items():
         for m in range(max_mn + 1):
             for n in range(max_mn + 1):
-                if not _family_admits(label, m, n):
+                if not fam.in_range(m, n):
                     continue
                 tgt = fam.weight_at(m, n)
                 src = source_weight(label, m, n)
@@ -179,6 +178,23 @@ def two_paths(graph: ComplexGraph):
     for first in graph.edges:
         for second in by_source.get(first.target, ()):
             yield first, second
+
+
+def check_two_paths(graph: ComplexGraph) -> tuple[int, list]:
+    """Compose along every 2-path; returns the number of paths and the
+    (label, params, label, params) of each pair that does not vanish.
+    Each edge's morphism is built once."""
+    built: dict[Edge, VermaMorphism] = {}
+    paths, failures = 0, []
+    for first, second in two_paths(graph):
+        for e in (second, first):
+            if e not in built:
+                built[e] = morphism_from_family(e.label, *e.params)
+        paths += 1
+        if not compose_is_zero(built[second], built[first]):
+            failures.append((first.label, first.params,
+                             second.label, second.params))
+    return paths, failures
 
 
 # ---------------------------------------------------------------------------

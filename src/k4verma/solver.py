@@ -17,13 +17,14 @@ dual-form action; both kernels must coincide once mapped back.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactScalar, I, ONE, RowReducer, acc, scal, sparse_nullspace
-from .grassmann import ALL_MASKS, complement, HODGE, indices_of, mask_of, size
+from .grassmann import ALL_MASKS, indices_of, mask_of, size
 from .verma import VKey, VVec, act, degree, dual_lambda_action, \
-    lambda_action, vvec_add, w_mul
+    lambda_action, transform_T_inverse, vvec_add, w_mul
 from .weights import Weight, weight
 
 # e1 = -xi_13 + i xi_23 and e2 = -xi_24 - i xi_14, as lambda^0 combos
@@ -83,15 +84,6 @@ def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
                  for lead in sorted(red.pivots))
 
 
-def transform_T_inverse(v: VVec) -> VVec:
-    out: VVec = {}
-    for (k, l, mon), c in v.items():
-        lc = complement(l)
-        sign, _ = HODGE[lc]
-        out[(k, lc, mon)] = c * sign
-    return out
-
-
 @dataclass(frozen=True)
 class SingularReport:
     weight: Weight
@@ -134,22 +126,24 @@ class Family:
     terms: tuple  # (sign, w-labels right-to-left nested, monomial offset)
 
     def in_range(self, m: int, n: int) -> bool:
-        lo_m, lo_n, pin = _RANGES[self.label]
-        if pin is not None and (m, n) != pin:
-            return False
-        return m >= lo_m and n >= lo_n
+        """Whether the family has a member at labels (m, n)."""
+        lo_m, hi_m, lo_n, hi_n = _RANGES[self.label]
+        return lo_m <= m <= hi_m and lo_n <= n <= hi_n
 
     def weight_at(self, m: int, n: int) -> Weight:
         return weight(m, n, *_MU[self.label](m, n))
 
 
+_ANY = float("inf")
+
 _RANGES = {
-    # minimum m, minimum n, exact pin (overrides)
-    "1a": (0, 0, None), "1b": (1, 0, None), "1c": (1, 1, None),
-    "1d": (0, 1, None),
-    "2a": (0, 0, None), "2b": (0, 0, None), "2c": (2, 0, None),
-    "2d": (0, 2, None),
-    "3a": (0, 0, (1, 0)), "3b": (0, 0, (0, 1)),
+    # inclusive m range, then n range; the one-parameter degree-2 families
+    # are pinned to an sl2-trivial side, the degree-3 vectors to one point
+    "1a": (0, _ANY, 0, _ANY), "1b": (1, _ANY, 0, _ANY),
+    "1c": (1, _ANY, 1, _ANY), "1d": (0, _ANY, 1, _ANY),
+    "2a": (0, 0, 0, _ANY), "2b": (0, _ANY, 0, 0),
+    "2c": (2, _ANY, 0, 0), "2d": (0, 0, 2, _ANY),
+    "3a": (1, 1, 0, 0), "3b": (0, 0, 1, 1),
 }
 
 _MU = {
@@ -187,24 +181,11 @@ FAMILIES = {
                            (1, ("12", "21", "11"), (0, -1)))),
 }
 
-# the one-parameter degree-2 families are pinned to an sl2-trivial side
-_SIDE_PINS = {"2a": "m0", "2d": "m0", "2b": "n0", "2c": "n0"}
-
-
-def _family_admits(label: str, m: int, n: int) -> bool:
-    side = _SIDE_PINS.get(label)
-    if side == "m0" and m != 0:
-        return False
-    if side == "n0" and n != 0:
-        return False
-    return FAMILIES[label].in_range(m, n)
-
-
 def build_theorem_vector(label: str, m: int, n: int) -> tuple[Weight, VVec]:
     """The classified singular vector of a family at parameters (m, n)."""
     if label not in FAMILIES:
         raise KeyError(f"unknown family {label!r}")
-    if not _family_admits(label, m, n):
+    if not FAMILIES[label].in_range(m, n):
         raise ValueError(f"family {label} has no member at (m, n)=({m}, {n})")
     fam = FAMILIES[label]
     wt = fam.weight_at(m, n)
@@ -220,11 +201,42 @@ def build_theorem_vector(label: str, m: int, n: int) -> tuple[Weight, VVec]:
 def expected_labels(wt: Weight, deg: int) -> list[str]:
     hits = []
     for label, fam in FAMILIES.items():
-        if fam.deg != deg or not _family_admits(label, wt.m, wt.n):
+        if fam.deg != deg or not fam.in_range(wt.m, wt.n):
             continue
         if fam.weight_at(wt.m, wt.n) == wt:
             hits.append(label)
     return hits
+
+
+def table_weights(max_mn: int) -> dict[Weight, list[tuple[str, int, int]]]:
+    """Each weight carrying a family member with m, n <= max_mn, mapped
+    to its (label, m, n) instances: the table sweep of `verify-theorems`
+    and the acceptance gate."""
+    out: dict = {}
+    for label, fam in FAMILIES.items():
+        for m in range(max_mn + 1):
+            for n in range(max_mn + 1):
+                if fam.in_range(m, n):
+                    out.setdefault(fam.weight_at(m, n), []).append(
+                        (label, m, n))
+    return out
+
+
+def off_list_weights(max_mn: int, count: int, seed: int) -> list[Weight]:
+    """Seeded weights next to a family formula, with m, n <= max_mn, that
+    no family claims at degrees 1-3."""
+    rng = random.Random(seed)
+    shifts = (_F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(2), _F(3, 2))
+    labels = sorted(FAMILIES)
+    out = []
+    while len(out) < count:
+        m, n = rng.randint(0, max_mn), rng.randint(0, max_mn)
+        base = FAMILIES[rng.choice(labels)].weight_at(m, n)
+        wt = weight(m, n, base.mu_t.re + rng.choice(shifts),
+                    base.mu_C.re + rng.choice(shifts))
+        if not any(expected_labels(wt, d) for d in (1, 2, 3)):
+            out.append(wt)
+    return out
 
 
 def match_label(wt: Weight, deg: int, v: VVec):

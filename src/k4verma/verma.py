@@ -351,22 +351,22 @@ def _eval_template(terms, mon: MonKey, coeff: ExactScalar, wt: Weight,
             acc(target, (k2, l2, m), v)
 
 
-def lambda_action(imask_or_indices, v: VVec, wt: Weight) -> LambdaVal:
+def _lambda_expand(template, imask_or_indices, v: VVec,
+                   wt: Weight) -> LambdaVal:
     imask = (imask_or_indices if isinstance(imask_or_indices, int)
              else mask_of(imask_or_indices))
     out: LambdaVal = {}
     for (k, l, mon), c in v.items():
-        _eval_template(_primal_template(imask, k, l), mon, c, wt, out, True)
+        _eval_template(template(imask, k, l), mon, c, wt, out, True)
     return {lp: vv for lp, vv in out.items() if vv}
+
+
+def lambda_action(imask_or_indices, v: VVec, wt: Weight) -> LambdaVal:
+    return _lambda_expand(_primal_template, imask_or_indices, v, wt)
 
 
 def dual_lambda_action(imask_or_indices, v: VVec, wt: Weight) -> LambdaVal:
-    imask = (imask_or_indices if isinstance(imask_or_indices, int)
-             else mask_of(imask_or_indices))
-    out: LambdaVal = {}
-    for (k, l, mon), c in v.items():
-        _eval_template(_dual_template(imask, k, l), mon, c, wt, out, True)
-    return {lp: vv for lp, vv in out.items() if vv}
+    return _lambda_expand(_dual_template, imask_or_indices, v, wt)
 
 
 def transform_T(v: VVec) -> VVec:
@@ -374,6 +374,15 @@ def transform_T(v: VVec) -> VVec:
     for (k, l, mon), c in v.items():
         s, lc = HODGE[l]
         acc(out, (k, lc, mon), c * s)
+    return out
+
+
+def transform_T_inverse(v: VVec) -> VVec:
+    out: VVec = {}
+    for (k, l, mon), c in v.items():
+        lc = complement(l)
+        sign, _ = HODGE[lc]
+        out[(k, lc, mon)] = c * sign
     return out
 
 

@@ -74,14 +74,9 @@ def test_corrupted_cocycle_detected():
 # -- the K'_4[y] presentation ------------------------------------------------
 
 def test_phi_is_a_morphism_small():
-    keys = an.lie_basis(2)
-    for a in keys:
-        for b in keys:
-            ea = {a: scal(1)}
-            eb = {b: scal(1)}
-            lhs = an.phi(an.lie_bracket_K4(ea, eb))
-            rhs = an.drop_central(an.bracket(an.phi(ea), an.phi(eb)))
-            assert lhs == rhs, (a, b)
+    rep = an.check_quotient_morphism(2)
+    assert rep.failures == []
+    assert rep.triples_checked == len(an.lie_basis(2)) ** 2
 
 
 def test_phi_kernel_is_the_marked_generator():
@@ -131,3 +126,18 @@ def test_basis_of_degree_is_complete_at_high_degree():
     # up at d = 16, past the t-power cap the basis used to have
     for d in range(2, 31):
         assert len(an.basis_of_degree(d)) == 8, d
+
+
+def test_quotient_morphism_names_the_failing_pairs(monkeypatch):
+    phi = an.phi
+    xi1 = (0, mask_of((1,)))
+
+    def bad_phi(a):
+        return {k: c * scal(2) if k == xi1 else c for k, c in phi(a).items()}
+
+    monkeypatch.setattr(an, "phi", bad_phi)
+    rep = an.check_quotient_morphism(1)
+    assert not rep.ok
+    # [xi_1, xi_1] = -xi_empty does not involve xi_1, so phi(lhs) is
+    # unchanged while the right side picks up the factor 4
+    assert ((0, mask_of((1,)), 0), (0, mask_of((1,)), 0)) in rep.failures

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import k4verma
+from k4verma import annihilation as an
 from k4verma.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
@@ -117,3 +118,14 @@ def test_nonpositive_degree_is_a_usage_error():
         assert "positive integer" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_quotient_morphism_bound_follows_max_tpow(capsys, monkeypatch):
+    # the triple sweeps are stubbed: only the quotient check's bound is read
+    monkeypatch.setattr(an, "check_jacobi", lambda *a, **k: an.JacobiReport())
+    monkeypatch.setattr(an, "check_cocycle", lambda *a, **k: an.JacobiReport())
+    code, rep = run(capsys, "axioms", "--max-tpow", "4", "--max-dpow", "0")
+    assert code == 0
+    quo = next(c for c in rep["checks"] if c["name"] == "quotient-morphism")
+    assert quo == {"name": "quotient-morphism", "ok": True,
+                   "pairs": 96 ** 2, "max_ypow": 5}

@@ -69,6 +69,7 @@ def test_phi_is_bijective_degreewise():
     assert rep.dims == (1, 4, 7, 8, 8, 8, 8)
     assert all(rep.bijective)
     assert rep.equivariant and rep.linear and rep.ok
+    assert rep.sample_degree == 4
 
 
 def test_phi_rejects_nontrivial_sl2_monomials():
@@ -77,7 +78,7 @@ def test_phi_rejects_nontrivial_sl2_monomials():
 
 
 def test_iterated_action_spans_every_dual_line():
-    assert co.iterated_action_hits_dual_basis(3, 4)
+    assert co.iterated_action_hits_dual_basis(3)
 
 
 def test_raising_comes_back_to_theta_star():

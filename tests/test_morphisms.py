@@ -24,7 +24,7 @@ def test_source_weights_frozen():
 def test_source_shifts_by_the_degree_in_t():
     for label in mo.FAMILIES:
         m, n = {"3a": (1, 0), "3b": (0, 1)}.get(label, (2, 2))
-        if not mo._family_admits(label, m, n):
+        if not mo.FAMILIES[label].in_range(m, n):
             m, n = (2, 0) if label in ("2b", "2c") else (0, 2)
         phi = mo.morphism_from_family(label, m, n)
         assert phi.source.mu_t == phi.target.mu_t - scal(phi.deg)
@@ -62,18 +62,9 @@ def test_compose_requires_a_chain():
 
 def test_all_two_paths_vanish_in_the_small_box():
     g = mo.build_complex_graph(2)
-    cache = {}
-
-    def get(e):
-        key = (e.label, e.params)
-        if key not in cache:
-            cache[key] = mo.morphism_from_family(e.label, *e.params)
-        return cache[key]
-
-    pairs = list(mo.two_paths(g))
-    assert pairs
-    for first, second in pairs:
-        assert mo.compose_is_zero(get(second), get(first)), (first, second)
+    paths, failures = mo.check_two_paths(g)
+    assert paths == len(list(mo.two_paths(g))) > 0
+    assert failures == []
 
 
 def test_duality_weight_formula():
@@ -121,3 +112,12 @@ def test_exports():
     assert isinstance(some["from"][2], str)   # rationals travel as "p/q"
     dot = mo.graph_to_dot(g)
     assert dot.startswith("digraph") and "->" in dot
+
+
+def test_check_two_paths_names_each_failing_pair(monkeypatch):
+    g = mo.build_complex_graph(2)
+    monkeypatch.setattr(mo, "compose_is_zero", lambda phi2, phi1: False)
+    paths, failures = mo.check_two_paths(g)
+    assert failures == [(a.label, a.params, b.label, b.params)
+                        for a, b in mo.two_paths(g)]
+    assert len(failures) == paths

@@ -176,3 +176,36 @@ def test_degrees_four_and_five_are_empty():
 def test_solve_rejects_nonpositive_degree():
     with pytest.raises(ValueError):
         sv.solve(weight(0, 0, 0, 0), 0)
+
+
+def test_in_range_agrees_with_the_theorem_vectors():
+    for label, fam in sv.FAMILIES.items():
+        for m in range(5):
+            for n in range(5):
+                try:
+                    sv.build_theorem_vector(label, m, n)
+                    built = True
+                except ValueError:
+                    built = False
+                assert fam.in_range(m, n) == built, (label, m, n)
+
+
+def test_table_weights_collect_every_member():
+    table = sv.table_weights(3)
+    assert len(table) == 63
+    assert sum(len(v) for v in table.values()) == 63
+    for wt, instances in table.items():
+        for label, m, n in instances:
+            assert sv.FAMILIES[label].in_range(m, n)
+            assert sv.FAMILIES[label].weight_at(m, n) == wt
+            assert label in sv.expected_labels(wt, sv.FAMILIES[label].deg)
+
+
+def test_off_list_weights_are_seeded_and_claimed_by_no_family():
+    wts = sv.off_list_weights(2, 12, 5)
+    assert wts == sv.off_list_weights(2, 12, 5)
+    assert wts != sv.off_list_weights(2, 12, 6)
+    assert len(wts) == 12
+    for wt in wts:
+        assert 0 <= wt.m <= 2 and 0 <= wt.n <= 2
+        assert not any(sv.expected_labels(wt, d) for d in (1, 2, 3))

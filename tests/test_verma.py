@@ -143,3 +143,11 @@ def test_module_axiom_sampled():
                         rhs[vk] = rhs.get(vk, scal(0)) + vc * c
                 rhs = {k: c for k, c in rhs.items() if not c.is_zero()}
                 assert lhs == rhs, (a, b)
+
+
+def test_transform_T_inverse_round_trips():
+    for k in (0, 1, 3):
+        for l in range(16):
+            v = vm.vvec_add(V(k, l), V(k, l, mon=(0, 1), coeff=scal(2, -1)))
+            assert vm.transform_T_inverse(vm.transform_T(v)) == v, (k, l)
+            assert vm.transform_T(vm.transform_T_inverse(v)) == v, (k, l)
