@@ -4,4 +4,4 @@ the resulting complexes of Verma morphisms."""
 
 __version__ = "0.1.0"
 
-from .exact import ExactScalar, ExactMatrix, scal, ZERO, ONE, I  # noqa: F401
+from .exact import ExactScalar, scal, ZERO, ONE, I  # noqa: F401

@@ -172,17 +172,24 @@ def cmd_verify_theorems(args) -> int:
     def job(item):
         wt, instances = item
         results = sv.classify(wt, (1, 2, 3))
-        good = True
+        witness: dict = {}
         for d in (1, 2, 3):
+            rep = results[d]
             expect = sorted(sv.expected_labels(wt, d))
-            got = sorted(l for l in results[d].labels if l)
-            if results[d].kernel_dim != len(expect) or got != expect:
-                good = False
-        vecs_ok = all(
-            sv.verify_vector(sv.build_theorem_vector(lab, m, n)[1], wt).ok
-            for lab, m, n in instances)
-        return _check(f"weight {_wt_name(wt)}", good and vecs_ok,
-                      instances=[f"{lab}({m},{n})" for lab, m, n in instances])
+            got = sorted(l for l in rep.labels if l)
+            if rep.kernel_dim != len(expect) or got != expect:
+                witness.setdefault("wrong_degrees", []).append(
+                    {"degree": d, "kernel_dim": rep.kernel_dim,
+                     "expected": expect, "labels": list(rep.labels)})
+        for lab, m, n in instances:
+            ver = sv.verify_vector(sv.build_theorem_vector(lab, m, n)[1], wt)
+            if not ver.ok:
+                witness.setdefault("failing_vectors", []).append(
+                    {"instance": f"{lab}({m},{n})",
+                     "generators": list(ver.failures)})
+        return _check(f"weight {_wt_name(wt)}", not witness,
+                      instances=[f"{lab}({m},{n})" for lab, m, n in instances],
+                      **witness)
 
     checks = [job(item) for item in sorted(
         table.items(), key=lambda kv: mo._node_sort_key(kv[0]))]

@@ -131,11 +131,7 @@ def iterated_action_hits_dual_basis(smax: int) -> bool:
     for every mask and s <= smax."""
     for mask in ALL_MASKS:
         for s in range(smax + 1):
-            f = dict(THETA_STAR)
-            for j in reversed(indices_of(mask)):
-                f = coadjoint_act({(0, 1 << (j - 1)): ONE}, f)
-            for _ in range(s):
-                f = coadjoint_act(dict(an.THETA), f)
+            f = phi_image({(s, mask, (0, 0)): ONE})
             if set(f) != {(s, mask)} or f[(s, mask)].is_zero():
                 return False
     return True

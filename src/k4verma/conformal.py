@@ -48,14 +48,6 @@ def xi(indices, dpow: int = 0, coeff=1) -> Element:
     return {(dpow, m): c}
 
 
-def elem_add(a: Element, b: Element, bscale=1) -> Element:
-    out = dict(a)
-    s = ExactScalar._coerce(bscale)
-    for g, c in b.items():
-        acc(out, g, c * s)
-    return out
-
-
 def elem_scale(a: Element, s) -> Element:
     s = ExactScalar._coerce(s)
     if s.is_zero():

@@ -4,10 +4,10 @@ Every quantity in this package is a complex number (a + b i) / d with
 Python ints a, b, d, d > 0 and gcd(a, b, d) = 1, so equal values have equal
 fields.  Most structure constants are Gaussian integers (d = 1); the
 arithmetic skips the gcd there, and the imaginary products for real
-operands.  Floating point is never used.  The linear algebra is plain
-Gaussian elimination; matrices stay small (a few hundred rows/columns at
-most) but are sparse, so the kernel computation works on dict-rows and only
-keeps pivot rows around.
+operands.  Floating point is never used.  All linear algebra is one sparse
+Gaussian elimination, RowReducer, on dict-rows, keeping only pivot rows:
+matrices have a few hundred rows/columns at most but are sparse.  Kernels
+are sparse dicts, and the one small inverse is a reduction of [A | 1].
 """
 
 from __future__ import annotations
@@ -188,7 +188,6 @@ _coerce = ExactScalar._coerce
 ZERO = _mk(0, 0, 1)
 ONE = _mk(1, 0, 1)
 I = _mk(0, 1, 1)
-HALF = _mk(1, 0, 2)
 
 scal = ExactScalar  # the shorthand used all over the tests
 
@@ -205,13 +204,28 @@ def acc(d: dict, key, c: ExactScalar) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sparse kernel computation
+# sparse row reduction: the one elimination routine
 #
 # Rows arrive one at a time as {column_index: ExactScalar}.  We keep a row
 # echelon form: pivots maps a column index to a reduced row whose leading
 # entry in that column is 1 and which has zeros in every other pivot column.
 # Only pivot rows are stored, so memory is O(rank * row size).
 # ---------------------------------------------------------------------------
+
+
+def _axpy(row: dict, coef: ExactScalar, src: dict) -> None:
+    """row += coef * src in place; entries that cancel are dropped."""
+    for c, v in src.items():
+        t = coef * v
+        w = row.get(c)
+        if w is None:
+            row[c] = t
+        else:
+            w = _add(w, t._a, t._b, t._d)
+            if w._a or w._b:
+                row[c] = w
+            else:
+                del row[c]
 
 
 class RowReducer:
@@ -222,141 +236,69 @@ class RowReducer:
         self.pivots: dict[int, dict[int, ExactScalar]] = {}
 
     def add_row(self, row: dict[int, ExactScalar]) -> None:
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        for c in sorted(row):
-            if c >= self.ncols:
-                raise IndexError(f"column {c} out of range (ncols={self.ncols})")
-        while row:
-            hit = [c for c in row if c in self.pivots]
-            if hit:
-                # eliminate the earliest pivot column; entries only move right
-                c0 = min(hit)
-                coef = row[c0]
-                for c, v in self.pivots[c0].items():
-                    w = row.get(c, ZERO) - coef * v
-                    if w.is_zero():
-                        row.pop(c, None)
-                    else:
-                        row[c] = w
-                continue
-            lead = min(row)
-            coef = row[lead]
-            newrow = {c: v / coef for c, v in row.items()}
-            # clear this column from existing pivot rows
-            for prow in self.pivots.values():
-                e = prow.get(lead)
-                if e is not None:
-                    for c, v in newrow.items():
-                        w = prow.get(c, ZERO) - e * v
-                        if w.is_zero():
-                            prow.pop(c, None)
-                        else:
-                            prow[c] = w
-            self.pivots[lead] = newrow
+        row = {c: v for c, v in row.items() if v._a or v._b}
+        if not row:
             return
+        if min(row) < 0 or max(row) >= self.ncols:
+            raise IndexError(f"columns {min(row)}..{max(row)} out of range "
+                             f"(ncols={self.ncols})")
+        pivots = self.pivots
+        # each pivot row vanishes in every other pivot column, so one pass
+        # over the pivot columns the row starts with clears all of them
+        for c0, coef in [(c, v) for c, v in row.items() if c in pivots]:
+            _axpy(row, -coef, pivots[c0])
+        if not row:
+            return
+        lead = min(row)
+        inv = ONE / row[lead]
+        newrow = {c: v * inv for c, v in row.items()}
+        # clear this column from existing pivot rows
+        for prow in pivots.values():
+            e = prow.get(lead)
+            if e is not None:
+                _axpy(prow, -e, newrow)
+        pivots[lead] = newrow
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace(self) -> list[tuple[ExactScalar, ...]]:
-        """Kernel basis; each vector scaled so its first nonzero entry is 1."""
-        free = [c for c in range(self.ncols) if c not in self.pivots]
+    def nullspace(self) -> list[dict[int, ExactScalar]]:
+        """Kernel basis: for each free column f, e_f minus the f-entries of
+        the pivot rows (placed at their pivot columns)."""
         basis = []
-        for f in free:
-            vec = [ZERO] * self.ncols
-            vec[f] = ONE
+        for f in range(self.ncols):
+            if f in self.pivots:
+                continue
+            vec = {f: ONE}
             for pc, prow in self.pivots.items():
                 e = prow.get(f)
                 if e is not None:
                     vec[pc] = -e
-            basis.append(tuple(normalize_leading(vec)))
+            basis.append(vec)
         return basis
 
 
-def normalize_leading(vec: Sequence[ExactScalar]) -> list[ExactScalar]:
-    """Scale a vector so its first nonzero entry equals 1 (zero vector kept)."""
-    for v in vec:
-        if not v.is_zero():
-            return [w / v for w in vec]
-    return list(vec)
-
-
 def sparse_nullspace(rows: Iterable[dict[int, ExactScalar]],
-                     ncols: int) -> list[tuple[ExactScalar, ...]]:
+                     ncols: int) -> list[dict[int, ExactScalar]]:
     red = RowReducer(ncols)
     for r in rows:
         red.add_row(r)
     return red.nullspace()
 
 
-# ---------------------------------------------------------------------------
-# small dense matrices (only used for basis changes and tests)
-# ---------------------------------------------------------------------------
-
-
-class ExactMatrix:
-    """Dense matrix of exact scalars.  Rows are lists; nothing fancy."""
-
-    def __init__(self, rows: Sequence[Sequence[object]]):
-        self.rows = [[ExactScalar._coerce(x) for x in r] for r in rows]
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise ValueError("ragged matrix")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def mat_vec(self, vec: Sequence[ExactScalar]) -> list[ExactScalar]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum((r[j] * vec[j] for j in range(self.ncols)), ZERO)
-                for r in self.rows]
-
-    def rank(self) -> int:
-        red = RowReducer(self.ncols)
-        for r in self.rows:
-            red.add_row({j: v for j, v in enumerate(r) if not v.is_zero()})
-        return red.rank
-
-    def nullspace(self) -> list[tuple[ExactScalar, ...]]:
-        return sparse_nullspace(
-            ({j: v for j, v in enumerate(r) if not v.is_zero()} for r in self.rows),
-            self.ncols)
-
-    def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse; raises ValueError if singular."""
-        n = self.nrows
-        if n != self.ncols:
+def inverse(rows: Sequence[Sequence[object]]) -> list[list[ExactScalar]]:
+    """Inverse of a square matrix, by reducing [A | 1]; ValueError if A is
+    singular, since a pivot then lands in the identity block."""
+    n = len(rows)
+    red = RowReducer(2 * n)
+    for i, r in enumerate(rows):
+        if len(r) != n:
             raise ValueError("not square")
-        a = [list(r) for r in self.rows]
-        inv = [list(r) for r in ExactMatrix.identity(n).rows]
-        for col in range(n):
-            pr = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if pr is None:
-                raise ValueError("matrix is singular")
-            a[col], a[pr] = a[pr], a[col]
-            inv[col], inv[pr] = inv[pr], inv[col]
-            d = a[col][col]
-            a[col] = [x / d for x in a[col]]
-            inv[col] = [x / d for x in inv[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return ExactMatrix(inv)
-
-    def __repr__(self) -> str:
-        return "ExactMatrix([" + ", ".join(
-            "[" + ", ".join(str(x) for x in r) + "]" for r in self.rows) + "])"
+        row = {j: _coerce(x) for j, x in enumerate(r)}
+        row[n + i] = ONE
+        red.add_row(row)
+    if any(c >= n for c in red.pivots):
+        raise ValueError("matrix is singular")
+    return [[red.pivots[i].get(n + j, ZERO) for j in range(n)]
+            for i in range(n)]

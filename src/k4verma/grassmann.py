@@ -22,7 +22,6 @@ Sign conventions used throughout the package:
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 INDICES = (1, 2, 3, 4)
@@ -110,5 +109,3 @@ STAR = tuple(tuple(star(a, b) for b in range(16)) for a in range(16))
 DERIVE = ((),) + tuple(tuple(derive(i, m) for m in range(16)) for i in (1, 2, 3, 4))
 
 ALL_MASKS = tuple(range(16))
-MASKS_BY_SIZE = tuple(
-    tuple(mask_of(c) for c in combinations(INDICES, k)) for k in range(5))

@@ -71,7 +71,7 @@ def _assemble_rows(wt: Weight, cols: list[VKey], dual: bool) -> list[dict]:
             for sc, pmask in combo:
                 for out_vk, c in lam[pmask].get(0, {}).items():
                     acc(rows.setdefault((16, tag, out_vk), {}), ci, sc * c)
-    return [rows[key] for key in sorted(rows, key=repr)]
+    return list(rows.values())
 
 
 def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
@@ -82,6 +82,17 @@ def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
         red.add_row({idx[vk]: c for vk, c in v.items()})
     return tuple({cols[i]: c for i, c in sorted(red.pivots[lead].items())}
                  for lead in sorted(red.pivots))
+
+
+def _kernel(wt: Weight, cols: list[VKey], dual: bool, out_cols: list[VKey],
+            back=None) -> tuple[VVec, ...]:
+    """Assemble, reduce, and return the canonical kernel basis over
+    out_cols; back maps each kernel vector there first, if given."""
+    basis = sparse_nullspace(_assemble_rows(wt, cols, dual), len(cols))
+    kern = [{cols[i]: c for i, c in vec.items()} for vec in basis]
+    if back is not None:
+        kern = [back(v) for v in kern]
+    return _canonical(kern, out_cols)
 
 
 @dataclass(frozen=True)
@@ -102,12 +113,8 @@ def solve(wt: Weight, deg: int, dual: bool = False) -> SingularReport:
     if deg < 1:
         raise ValueError("degree must be a positive integer")
     cols = candidate_keys(wt, deg, tside=dual)
-    basis = sparse_nullspace(_assemble_rows(wt, cols, dual), len(cols))
-    kern = [{cols[i]: c for i, c in enumerate(vec) if not c.is_zero()}
-            for vec in basis]
-    if dual:
-        kern = [transform_T_inverse(v) for v in kern]
-    canon = _canonical(kern, candidate_keys(wt, deg, tside=False))
+    canon = _kernel(wt, cols, dual, candidate_keys(wt, deg),
+                    transform_T_inverse if dual else None)
     labels = tuple(match_label(wt, deg, v) for v in canon)
     return SingularReport(wt, deg, tuple(cols), canon, labels)
 
@@ -347,9 +354,7 @@ def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
     """
     cols = sorted((k, l, mon) for k in range(nmax + 1)
                   for l in ALL_MASKS for mon in wt.keys())
-    basis = sparse_nullspace(_assemble_rows(wt, cols, dual=True), len(cols))
-    kern = _canonical([{cols[i]: c for i, c in enumerate(vec)
-                        if not c.is_zero()} for vec in basis], cols)
+    kern = _kernel(wt, cols, True, cols)
     max_seen = 0
     shape_ok = True
     no_scalar = True

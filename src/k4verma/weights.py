@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from .annihilation import CKEY, Key
-from .exact import ExactMatrix, ExactScalar, I, ONE, ZERO, acc, scal
+from .exact import ExactScalar, I, ONE, ZERO, acc, inverse, scal
 from .grassmann import mask_of, size
 
 MonKey = tuple[int, int]            # (number of x1 factors, number of y1 factors)
@@ -90,7 +90,7 @@ def apply_sl2(op: str, wt: Weight, vec: Vector) -> Vector:
     return out
 
 
-def _sl2_to_xi_matrix() -> ExactMatrix:
+def _sl2_to_xi_rows() -> list[list[ExactScalar]]:
     """Rows: h_x e_x f_x h_y e_y f_y expressed in the xi_ij column basis."""
     half = scal(Fraction(1, 2))
     ih = I * half
@@ -103,18 +103,18 @@ def _sl2_to_xi_matrix() -> ExactMatrix:
         "f_x": {(1, 3): half, (2, 4): half, (1, 4): -ih, (2, 3): ih},
         "f_y": {(1, 3): half, (2, 4): -half, (1, 4): ih, (2, 3): ih},
     }
-    return ExactMatrix([[rows[op].get(col, ZERO) for col in cols] for op in SL2_OPS])
+    return [[rows[op].get(col, ZERO) for col in cols] for op in SL2_OPS]
 
 
 XI_COLUMNS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-_XI_IN_SL2 = _sl2_to_xi_matrix().inverse()
+_XI_IN_SL2 = inverse(_sl2_to_xi_rows())
 
 # XI_COMBO[mask] = [(coefficient, sl2 op name), ...] for each pair monomial;
 # row j of the inverse expresses xi_{pair j} in the sl2 basis
 XI_COMBO: dict[int, list[tuple[ExactScalar, str]]] = {}
 for _j, _col in enumerate(XI_COLUMNS):
     XI_COMBO[mask_of(_col)] = [
-        (c, SL2_OPS[_k]) for _k, c in enumerate(_XI_IN_SL2.rows[_j])
+        (c, SL2_OPS[_k]) for _k, c in enumerate(_XI_IN_SL2[_j])
         if not c.is_zero()]
 
 

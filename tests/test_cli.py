@@ -8,6 +8,7 @@ import pytest
 
 import k4verma
 from k4verma import annihilation as an
+from k4verma import solver as sv
 from k4verma.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
@@ -81,6 +82,29 @@ def test_verify_theorems_sweep(capsys):
     covered = {i for c in rep["checks"] for i in c.get("instances", [])}
     assert "1a(0,0)" in covered and "3a(1,0)" in covered
     assert_golden(rep, "verify_theorems")
+
+
+def test_verify_theorems_names_its_witness(capsys, monkeypatch):
+    # negative control: every theorem vector comes back multiplied by Theta,
+    # so no kernel vector matches a label and no vector is singular
+    build = sv.build_theorem_vector
+
+    def shifted(label, m, n):
+        wt, v = build(label, m, n)
+        return wt, {(k + 1, l, mon): c for (k, l, mon), c in v.items()}
+
+    monkeypatch.setattr(sv, "build_theorem_vector", shifted)
+    code, rep = run(capsys, "verify-theorems", "--max-mn", "0",
+                    "--negatives", "0")
+    assert code == 1 and not rep["ok"]
+    first = rep["checks"][0]
+    assert first["name"] == "weight (0,0,0,0)" and not first["ok"]
+    assert first["wrong_degrees"] == [
+        {"degree": 1, "kernel_dim": 1, "expected": ["1a"], "labels": [None]}]
+    assert [f["instance"] for f in first["failing_vectors"]] == ["1a(0,0)"]
+    assert first["failing_vectors"][0]["generators"]
+    for c in rep["checks"]:
+        assert not c["ok"] and c["wrong_degrees"] and c["failing_vectors"]
 
 
 def test_complexes_writes_graph_files(capsys, tmp_path):

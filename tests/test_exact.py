@@ -3,11 +3,11 @@ import operator
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from k4verma.exact import (
-    ExactMatrix, ExactScalar, I, ONE, RowReducer, ZERO,
-    normalize_leading, scal, sparse_nullspace,
+    ExactScalar, I, ONE, RowReducer, ZERO, inverse, scal, sparse_nullspace,
 )
 
 
@@ -38,19 +38,30 @@ def test_json_roundtrip():
     assert s.to_json() == {"re": "-5/7", "im": "2/3"}
 
 
+def _rows(dense):
+    return [{j: ExactScalar._coerce(x) for j, x in enumerate(r)}
+            for r in dense]
+
+
+def _dot(row, vec):
+    return sum((row[j] * vec[j] for j in row.keys() & vec.keys()), ZERO)
+
+
+def _reduce(dense, ncols):
+    red = RowReducer(ncols)
+    for r in _rows(dense):
+        red.add_row(r)
+    return red
+
+
 def test_identity_has_empty_kernel():
-    assert ExactMatrix.identity(4).nullspace() == []
+    assert sparse_nullspace(_rows([[int(i == j) for j in range(4)]
+                                   for i in range(4)]), 4) == []
 
 
 def test_kernel_frozen_example():
-    m = ExactMatrix([[1, 1, 0], [0, 1, 1]])
-    ker = m.nullspace()
-    assert ker == [(ONE, scal(-1), ONE)]
-
-
-def test_kernel_leading_one_normalization():
-    vec = normalize_leading([ZERO, scal(0, 2), scal(4)])
-    assert vec == [ZERO, ONE, scal(0, -2)]
+    ker = sparse_nullspace(_rows([[1, 1, 0], [0, 1, 1]]), 3)
+    assert ker == [{0: ONE, 1: scal(-1), 2: ONE}]
 
 
 scalars = st.builds(
@@ -60,23 +71,19 @@ scalars = st.builds(
 
 @given(st.lists(st.lists(scalars, min_size=4, max_size=4), min_size=1, max_size=5))
 def test_rank_nullity_and_kernel_membership(rows):
-    m = ExactMatrix(rows)
-    ker = m.nullspace()
-    assert m.rank() + len(ker) == m.ncols
+    red = _reduce(rows, 4)
+    ker = red.nullspace()
+    assert red.rank + len(ker) == 4
     for v in ker:
-        assert all(x.is_zero() for x in m.mat_vec(v))
+        assert all(_dot(r, v).is_zero() for r in _rows(rows))
     # rank does not depend on the order rows are fed in
-    red = RowReducer(m.ncols)
-    for r in reversed(rows):
-        red.add_row({j: ExactScalar._coerce(x) for j, x in enumerate(r)})
-    assert red.rank == m.rank()
+    assert _reduce(reversed(rows), 4).rank == red.rank
 
 
 @given(st.lists(st.lists(scalars, min_size=3, max_size=3), min_size=1, max_size=4))
 def test_rank_invariant_under_column_reversal(rows):
-    m = ExactMatrix(rows)
-    mrev = ExactMatrix([list(reversed(r)) for r in rows])
-    assert m.rank() == mrev.rank()
+    assert _reduce(rows, 3).rank == \
+        _reduce([list(reversed(r)) for r in rows], 3).rank
 
 
 def test_late_pivot_column_is_eliminated():
@@ -84,27 +91,50 @@ def test_late_pivot_column_is_eliminated():
     # or the back-substitution in nullspace() reads garbage
     rows = [{1: ONE, 2: ONE}, {0: ONE, 1: ONE}]
     ker = sparse_nullspace(rows, 3)
-    assert ker == [(ONE, scal(-1), ONE)]
+    assert ker == [{0: ONE, 1: scal(-1), 2: ONE}]
 
 
-def test_sparse_and_dense_agree():
-    rows = [[1, 2, 3, 0], [0, 0, 1, 1], [1, 2, 4, 1]]
-    dense = ExactMatrix(rows).nullspace()
-    sparse = sparse_nullspace(
-        ({j: scal(x) for j, x in enumerate(r) if x} for r in rows), 4)
-    assert dense == sparse
-    assert len(dense) == 2
+def test_out_of_range_column_raises():
+    with pytest.raises(IndexError):
+        RowReducer(2).add_row({2: ONE})
 
 
 def test_inverse():
-    m = ExactMatrix([[1, 1], [0, I]])
-    inv = m.inverse()
-    e0 = m.mat_vec([ONE, ZERO])
-    e1 = m.mat_vec([ZERO, ONE])
-    assert inv.mat_vec(e0) == [ONE, ZERO]
-    assert inv.mat_vec(e1) == [ZERO, ONE]
+    m = [[ONE, ONE], [ZERO, I]]
+    inv = inverse(m)
+    assert inv == [[ONE, I], [ZERO, -I]]
+    for i in range(2):
+        for j in range(2):
+            assert sum((inv[i][k] * m[k][j] for k in range(2)), ZERO) \
+                == (ONE if i == j else ZERO)
     with pytest.raises(ValueError):
-        ExactMatrix([[1, 1], [1, 1]]).inverse()
+        inverse([[1, 1], [1, 1]])
+
+
+# -- RowReducer against sympy's rref, the independent referee ----------------
+
+sparse_scalars = st.one_of(st.just(ZERO), scalars)
+
+
+def _from_sympy(x):
+    re, im = x.as_real_imag()
+    return scal(Fraction(str(re)), Fraction(str(im)))
+
+
+@given(st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(sparse_scalars, min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5)))
+def test_reduced_form_matches_sympy_rref(rows):
+    ncols = len(rows[0])
+    red = _reduce(rows, ncols)
+    ref, pivots = sympy.Matrix(
+        [[sympy.Rational(x.re.numerator, x.re.denominator)
+          + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
+          for x in r] for r in rows]).rref()
+    assert sorted(red.pivots) == list(pivots)
+    for i, p in enumerate(pivots):
+        want = {j: _from_sympy(ref[i, j]) for j in range(ncols)}
+        assert red.pivots[p] == {j: v for j, v in want.items() if v}
 
 
 # -- the integer representation against a (Fraction, Fraction) reference ----
