@@ -38,7 +38,7 @@ from math import comb, factorial
 from fractions import Fraction
 
 from . import conformal as cf
-from .exact import ExactScalar, ZERO, acc, scal
+from .exact import ExactScalar, ZERO, acc, axpy, scal
 from .grassmann import DERIVE, MASK_ALL, STAR, complement, mask_of, size
 
 Key = tuple[int, int]          # (t power, mask); CKEY is the central element
@@ -59,6 +59,7 @@ def central(coeff=1) -> Element:
 
 
 THETA: Element = {(0, 0): scal(Fraction(-1, 2))}
+_MINUS_ONE = scal(-1)
 
 
 def parity(key: Key) -> int:
@@ -135,8 +136,7 @@ def bracket(a: Element, b: Element, psi=psi_default) -> Element:
             if kb == CKEY:
                 continue
             cab = ca * cb
-            for key, c in _key_bracket_plain(*ka, *kb):
-                acc(out, key, c * cab)
+            axpy(out, cab, _key_bracket_plain(*ka, *kb))
             pc = psi(ka, kb)
             if not pc.is_zero():
                 acc(out, CKEY, pc * cab)
@@ -187,10 +187,8 @@ def check_jacobi(max_tpow: int = 3, psi=psi_default) -> JacobiReport:
             for c in keys:
                 lhs = bracket(singles[a], pair[b, c], psi)
                 rhs = bracket(ab, singles[c], psi)
-                for k, v in bracket(singles[b], pair[a, c], psi).items():
-                    acc(rhs, k, sgn * v)
-                for k, v in rhs.items():
-                    acc(lhs, k, -v)
+                axpy(rhs, sgn, bracket(singles[b], pair[a, c], psi).items())
+                axpy(lhs, _MINUS_ONE, rhs.items())
                 if lhs:
                     rep.failures.append((a, b, c))
                 rep.triples_checked += 1
@@ -286,8 +284,7 @@ def lie_bracket_K4(a: LieElement, b: LieElement) -> LieElement:
     for ka, ca in a.items():
         for kb, cb in b.items():
             cab = ca * cb
-            for key, c in _lie_key_bracket(*ka, *kb):
-                acc(out, key, c * cab)
+            axpy(out, cab, _lie_key_bracket(*ka, *kb))
     return out
 
 
@@ -349,8 +346,7 @@ def psi_from_splitting(a: Key, b: Key) -> ExactScalar:
     lie = lie_bracket_K4(section(ea), section(eb))
     plain = drop_central(bracket(ea, eb))
     diff = dict(lie)
-    for k, c in section(plain).items():
-        acc(diff, k, -c)
+    axpy(diff, _MINUS_ONE, section(plain).items())
     for key, c in diff.items():
         if key != KERNEL_KEY and not c.is_zero():
             raise ArithmeticError(f"splitting defect is not central: {key}")

@@ -103,8 +103,10 @@ def cmd_axioms(args) -> int:
 
     ymax = args.max_tpow + 1
     quo = an.check_quotient_morphism(ymax)
+    named = ({} if quo.ok else
+             {"counterexamples": [repr(f) for f in quo.failures[:3]]})
     checks.append(_check("quotient-morphism", quo.ok,
-                         pairs=quo.triples_checked, max_ypow=ymax))
+                         pairs=quo.triples_checked, max_ypow=ymax, **named))
 
     kernel = {an.KERNEL_KEY: ONE}
     central = all(an.lie_bracket_K4(kernel, {b: ONE}) == {}
@@ -136,11 +138,19 @@ def _parse_weight(text: str) -> Weight:
                   Fraction(parts[2]), Fraction(parts[3]))
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, what: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonneg_int(text: str) -> int:
+    return _int_at_least(text, 0, "non-negative")
 
 
 def cmd_search(args) -> int:
@@ -277,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ax = sub.add_parser("axioms", help="algebra-level identities")
-    ax.add_argument("--max-tpow", type=int, default=3)
-    ax.add_argument("--max-dpow", type=int, default=2)
+    ax.add_argument("--max-tpow", type=_nonneg_int, default=3)
+    ax.add_argument("--max-dpow", type=_nonneg_int, default=2)
     ax.add_argument("--corrupt-cocycle", action="store_true",
                     help="negative control: perturb the 2-cocycle")
     ax.add_argument("--out")
@@ -294,19 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     se.set_defaults(func=cmd_search)
 
     vt = sub.add_parser("verify-theorems", help="sweep the classification")
-    vt.add_argument("--max-mn", type=int, default=3)
-    vt.add_argument("--negatives", type=int, default=10)
+    vt.add_argument("--max-mn", type=_nonneg_int, default=3)
+    vt.add_argument("--negatives", type=_nonneg_int, default=10)
     vt.add_argument("--seed", type=int, default=20260826)
     vt.add_argument("--out")
     vt.set_defaults(func=cmd_verify_theorems)
 
     cx = sub.add_parser("complexes", help="morphism graph and compositions")
-    cx.add_argument("--max-mn", type=int, default=2)
+    cx.add_argument("--max-mn", type=_nonneg_int, default=2)
     cx.add_argument("--out", help="JSON path (DOT lands next to it)")
     cx.set_defaults(func=cmd_complexes)
 
     ca = sub.add_parser("coadjoint", help="restricted-dual identification")
-    ca.add_argument("--max-degree", type=int, default=6)
+    ca.add_argument("--max-degree", type=_nonneg_int, default=6)
     ca.add_argument("--out")
     ca.set_defaults(func=cmd_coadjoint)
     return p

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import annihilation as an
-from .exact import ExactScalar, ONE, RowReducer, acc, scal
+from .exact import ExactScalar, ONE, RowReducer, acc, axpy, scal
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
 from .verma import VVec, act, vvec_add
 from .weights import weight
@@ -31,7 +31,7 @@ WT_COADJOINT = weight(0, 0, 2, 0)
 def _act_elem(g: an.Element, v: VVec) -> VVec:
     out: VVec = {}
     for key, c in g.items():
-        out = vvec_add(out, act(key, v, WT_COADJOINT), c)
+        axpy(out, c, act(key, v, WT_COADJOINT).items())
     return out
 
 
@@ -68,8 +68,7 @@ def phi_image(v: VVec) -> DualElement:
             f = coadjoint_act({(0, 1 << (j - 1)): ONE}, f)
         for _ in range(k):
             f = coadjoint_act(dict(an.THETA), f)
-        for fk, fc in f.items():
-            acc(out, fk, c * fc)
+        axpy(out, c, f.items())
     return out
 
 

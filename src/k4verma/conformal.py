@@ -23,11 +23,10 @@ what makes the quotient-free story downstream work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exact import ExactScalar, acc, scal
+from .exact import ExactScalar, ONE, acc, axpy, scal
 from .grassmann import DERIVE, MASK_ALL, STAR, mask_of, size
 
 Gen = tuple[int, int]               # (pd power, index mask)
@@ -94,12 +93,8 @@ def gen_bracket(ka: int, imask: int, kb: int, jmask: int) -> tuple:
         elem = dict(items)
         # (lambda + pd)^kb, then (-lambda)^ka
         for j in range(kb + 1):
-            shifted = apply_pd(elem, kb - j)
-            npow = n + j + ka
-            target = out.setdefault(npow, {})
-            cf = scal(comb(kb, j) * (-1) ** ka)
-            for g, c in shifted.items():
-                acc(target, g, c * cf)
+            axpy(out.setdefault(n + j + ka, {}), scal(comb(kb, j) * (-1) ** ka),
+                 apply_pd(elem, kb - j).items())
     return tuple((n, tuple(e.items())) for n, e in sorted(out.items()) if e)
 
 
@@ -114,9 +109,7 @@ def lambda_bracket(a: Element, b: Element) -> LambdaPoly:
         for (kb, jm), cb in b.items():
             cf = ca * cb
             for n, items in gen_bracket(ka, im, kb, jm):
-                target = out.setdefault(n, {})
-                for g, c in items:
-                    acc(target, g, c * cf)
+                axpy(out.setdefault(n, {}), cf, items)
     return {n: e for n, e in out.items() if e}
 
 
@@ -151,21 +144,16 @@ def minus_lambda_minus_pd(p: LambdaPoly) -> LambdaPoly:
     out: LambdaPoly = {}
     for n, elem in p.items():
         for j in range(n + 1):
-            shifted = apply_pd(elem, n - j)
-            target = out.setdefault(j, {})
-            cf = scal(comb(n, j) * (-1) ** n)
-            for g, c in shifted.items():
-                acc(target, g, c * cf)
+            axpy(out.setdefault(j, {}), scal(comb(n, j) * (-1) ** n),
+                 apply_pd(elem, n - j).items())
     return out
 
 
 def poly_sub(p: LambdaPoly, q: LambdaPoly, qscale=1) -> LambdaPoly:
     out = {n: dict(e) for n, e in p.items()}
-    s = ExactScalar._coerce(qscale)
+    s = -ExactScalar._coerce(qscale)
     for n, elem in q.items():
-        target = out.setdefault(n, {})
-        for g, c in elem.items():
-            acc(target, g, -c * s)
+        axpy(out.setdefault(n, {}), s, elem.items())
     return {n: e for n, e in out.items() if e}
 
 
@@ -182,12 +170,8 @@ def sesquilinearity_defect(a: Gen, b: Gen) -> tuple[LambdaPoly, LambdaPoly]:
     lhs2 = _thaw(gen_bracket(ka, im, kb + 1, jm))
     rhs2: LambdaPoly = {}
     for n, elem in base.items():
-        t = rhs2.setdefault(n + 1, {})
-        for g, c in elem.items():
-            acc(t, g, c)
-        t = rhs2.setdefault(n, {})
-        for g, c in apply_pd(elem).items():
-            acc(t, g, c)
+        axpy(rhs2.setdefault(n + 1, {}), ONE, elem.items())
+        axpy(rhs2.setdefault(n, {}), ONE, apply_pd(elem).items())
     d2 = poly_sub(lhs2, rhs2)
     return d1, d2
 
@@ -205,31 +189,25 @@ def skew_defect(a: Gen, b: Gen) -> LambdaPoly:
 BiPoly = dict[tuple[int, int], Element]  # (lambda power, mu power) -> element
 
 
-def _bi_acc(out: BiPoly, key: tuple[int, int], elem, cf: ExactScalar) -> None:
-    target = out.setdefault(key, {})
-    for g, c in elem:
-        acc(target, g, c * cf)
-
-
 def jacobi_defect(a: Gen, b: Gen, c: Gen) -> BiPoly:
     """[a l [b m c]] - [[a l b] l+m c] - (-1)^{p(a)p(b)} [b m [a l c]]."""
     out: BiPoly = {}
-    one = scal(1)
     for mpow, items in gen_bracket(*b, *c):
         for (kg, gm), cg in items:
             for npow, inner in gen_bracket(*a, kg, gm):
-                _bi_acc(out, (npow, mpow), inner, cg)
+                axpy(out.setdefault((npow, mpow), {}), cg, inner)
     for npow, items in gen_bracket(*a, *b):
         for (kg, gm), cg in items:
             for mpow, inner in gen_bracket(kg, gm, *c):
                 # substitute the bracket variable by lambda + mu
                 for i in range(mpow + 1):
-                    _bi_acc(out, (npow + i, mpow - i), inner, -cg * comb(mpow, i))
+                    axpy(out.setdefault((npow + i, mpow - i), {}),
+                         -cg * comb(mpow, i), inner)
     sgn = scal(-((-1) ** (parity(a[1]) * parity(b[1]))))
     for npow, items in gen_bracket(*a, *c):
         for (kg, gm), cg in items:
             for mpow, inner in gen_bracket(*b, kg, gm):
-                _bi_acc(out, (npow, mpow), inner, sgn * cg)
+                axpy(out.setdefault((npow, mpow), {}), sgn * cg, inner)
     return {k: e for k, e in out.items() if any(not v.is_zero() for v in e.values())}
 
 

@@ -203,6 +203,20 @@ def acc(d: dict, key, c: ExactScalar) -> None:
         d.pop(key, None)
 
 
+def axpy(out: dict, coef: ExactScalar, items) -> None:
+    """out += coef * src in place, with src given as (key, scalar) items
+    (a dict's items() or a frozen tuple); entries that cancel drop out."""
+    for k, v in items:
+        t = v * coef
+        w = out.get(k)
+        if w is not None:
+            t = _add(w, t._a, t._b, t._d)
+        if t._a or t._b:
+            out[k] = t
+        elif w is not None:
+            del out[k]
+
+
 # ---------------------------------------------------------------------------
 # sparse row reduction: the one elimination routine
 #
@@ -211,21 +225,6 @@ def acc(d: dict, key, c: ExactScalar) -> None:
 # entry in that column is 1 and which has zeros in every other pivot column.
 # Only pivot rows are stored, so memory is O(rank * row size).
 # ---------------------------------------------------------------------------
-
-
-def _axpy(row: dict, coef: ExactScalar, src: dict) -> None:
-    """row += coef * src in place; entries that cancel are dropped."""
-    for c, v in src.items():
-        t = coef * v
-        w = row.get(c)
-        if w is None:
-            row[c] = t
-        else:
-            w = _add(w, t._a, t._b, t._d)
-            if w._a or w._b:
-                row[c] = w
-            else:
-                del row[c]
 
 
 class RowReducer:
@@ -246,7 +245,7 @@ class RowReducer:
         # each pivot row vanishes in every other pivot column, so one pass
         # over the pivot columns the row starts with clears all of them
         for c0, coef in [(c, v) for c, v in row.items() if c in pivots]:
-            _axpy(row, -coef, pivots[c0])
+            axpy(row, -coef, pivots[c0].items())
         if not row:
             return
         lead = min(row)
@@ -256,7 +255,7 @@ class RowReducer:
         for prow in pivots.values():
             e = prow.get(lead)
             if e is not None:
-                _axpy(prow, -e, newrow)
+                axpy(prow, -e, newrow.items())
         pivots[lead] = newrow
 
     @property

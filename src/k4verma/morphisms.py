@@ -13,25 +13,21 @@ import json
 from dataclasses import dataclass
 
 from . import annihilation as an
-from .exact import ExactScalar, I, ONE, ZERO, scal
+from .exact import ExactScalar, ONE, ZERO, axpy, scal
 from .grassmann import mask_of
 from .solver import FAMILIES, build_theorem_vector, verify_vector
-from .verma import VVec, act, umult, vvec_add
-from .weights import Weight, lowering_word, weight
+from .verma import VVec, act, umult
+from .weights import SL2_IN_XI, Weight, lowering_word, weight
 
 # h_x/h_y label shift carried by each odd generator
 _W_SHIFT = {"11": (1, 1), "12": (1, -1), "21": (-1, 1), "22": (-1, -1)}
 
-_F_X = ((scal("1/2"), (1, 3)), (scal("1/2"), (2, 4)),
-        (scal(0, "-1/2"), (1, 4)), (scal(0, "1/2"), (2, 3)))
-_F_Y = ((scal("1/2"), (1, 3)), (scal("-1/2"), (2, 4)),
-        (scal(0, "1/2"), (1, 4)), (scal(0, "1/2"), (2, 3)))
 
-
-def _apply_combo(combo, v: VVec, wt: Weight) -> VVec:
+def _apply_combo(combo: dict, v: VVec, wt: Weight) -> VVec:
+    """An sl2 operator, given as {pair: coefficient}, acting on v."""
     out: VVec = {}
-    for sc, pair in combo:
-        out = vvec_add(out, act((0, mask_of(pair)), v, wt), sc)
+    for pair, sc in combo.items():
+        axpy(out, sc, act((0, mask_of(pair)), v, wt).items())
     return out
 
 
@@ -71,10 +67,10 @@ def evaluate(phi: VermaMorphism, v: VVec) -> VVec:
         coeff, (px, py) = lowering_word(mon, src)
         img = phi.image_of_hwv
         for _ in range(py):
-            img = _apply_combo(_F_Y, img, tgt)
+            img = _apply_combo(SL2_IN_XI["f_y"], img, tgt)
         for _ in range(px):
-            img = _apply_combo(_F_X, img, tgt)
-        out = vvec_add(out, umult(k, lmask, img), c * coeff)
+            img = _apply_combo(SL2_IN_XI["f_x"], img, tgt)
+        axpy(out, c * coeff, umult(k, lmask, img).items())
     return out
 
 

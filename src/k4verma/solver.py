@@ -21,21 +21,40 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactScalar, I, ONE, RowReducer, acc, scal, sparse_nullspace
+from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
+                    sparse_nullspace)
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
-from .verma import VKey, VVec, act, degree, dual_lambda_action, \
+from .verma import LambdaVal, VKey, VVec, act, degree, dual_lambda_action, \
     lambda_action, transform_T_inverse, vvec_add, w_mul
-from .weights import Weight, weight
+from .weights import SL2_IN_XI, Weight, weight
 
-# e1 = -xi_13 + i xi_23 and e2 = -xi_24 - i xi_14, as lambda^0 combos
-_E_ROWS = (
-    ("e1", ((scal(-1), mask_of((1, 3))), (I, mask_of((2, 3))))),
-    ("e2", ((scal(-1), mask_of((2, 4))), (scal(0, -1), mask_of((1, 4))))),
-)
+
+def _e_row(sign: int) -> tuple:
+    """e_x + sign e_y in the xi_ij basis, as (coefficient, pair mask)."""
+    ex, ey = SL2_IN_XI["e_x"], SL2_IN_XI["e_y"]
+    row = {p: ex.get(p, ZERO) + ey.get(p, ZERO) * sign for p in {**ex, **ey}}
+    return tuple((c, mask_of(p)) for p, c in row.items() if c)
+
+
+# e1 = e_x + e_y and e2 = e_x - e_y, as lambda^0 combos of the xi_ij
+_E_ROWS = (("e1", _e_row(1)), ("e2", _e_row(-1)))
 
 
 def _keep(lp: int, isz: int) -> bool:
     return lp >= 2 or (lp == 1 and isz >= 1) or (lp == 0 and isz >= 3)
+
+
+def _conditions(lam: dict[int, LambdaVal]) -> dict:
+    """Condition images of one vector, from its lambda actions lam[imask]:
+    the (imask, lp) pairs that _keep admits, then "e1" and "e2"."""
+    out: dict = {(imask, lp): vec for imask, by_power in lam.items()
+                 for lp, vec in by_power.items() if _keep(lp, size(imask))}
+    for tag, combo in _E_ROWS:
+        img: VVec = {}
+        for sc, pmask in combo:
+            axpy(img, sc, lam[pmask].get(0, {}).items())
+        out[tag] = img
+    return out
 
 
 def candidate_keys(wt: Weight, deg: int, tside: bool = False) -> list[VKey]:
@@ -60,17 +79,9 @@ def _assemble_rows(wt: Weight, cols: list[VKey], dual: bool) -> list[dict]:
     for ci, vk in enumerate(cols):
         unit = {vk: ONE}
         lam = {imask: fn(imask, unit, wt) for imask in ALL_MASKS}
-        for imask, by_power in lam.items():
-            isz = size(imask)
-            for lp, vec in by_power.items():
-                if not _keep(lp, isz):
-                    continue
-                for out_vk, c in vec.items():
-                    rows.setdefault((imask, lp, out_vk), {})[ci] = c
-        for tag, combo in _E_ROWS:
-            for sc, pmask in combo:
-                for out_vk, c in lam[pmask].get(0, {}).items():
-                    acc(rows.setdefault((16, tag, out_vk), {}), ci, sc * c)
+        for cond, vec in _conditions(lam).items():
+            for out_vk, c in vec.items():
+                rows.setdefault((cond, out_vk), {})[ci] = c
     return list(rows.values())
 
 
@@ -293,35 +304,22 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
     if not v:
         raise ValueError("zero vector is not a singular vector candidate")
 
-    failures = []
     lam = {imask: lambda_action(imask, v, wt) for imask in ALL_MASKS}
-    for imask in ALL_MASKS:
-        isz = size(imask)
-        for lp, vec in lam[imask].items():
-            if _keep(lp, isz) and vec:
-                failures.append(_gen_name(imask, lp))
-    for tag, combo in _E_ROWS:
-        acc: VVec = {}
-        for sc, pmask in combo:
-            acc = vvec_add(acc, lam[pmask].get(0, {}), sc)
-        if acc:
-            failures.append(tag)
+    failures = [cond if isinstance(cond, str) else _gen_name(*cond)
+                for cond, img in _conditions(lam).items() if img]
 
     short = []
     for tag, pieces in (
-        ("e1", (((0, mask_of((1, 3))), scal(-1)),
-                ((0, mask_of((2, 3))), I))),
-        ("e2", (((0, mask_of((2, 4))), scal(-1)),
-                ((0, mask_of((1, 4))), scal(0, -1)))),
+        *((tag, [((0, pm), sc) for sc, pm in combo]) for tag, combo in _E_ROWS),
         ("t(xi_1+i xi_2)", (((1, mask_of((1,))), ONE),
                             ((1, mask_of((2,))), I))),
         ("(xi_1+i xi_2)xi_3 xi_4", (((0, mask_of((1, 3, 4))), ONE),
                                     ((0, mask_of((2, 3, 4))), I))),
     ):
-        acc: VVec = {}
+        img: VVec = {}
         for key, sc in pieces:
-            acc = vvec_add(acc, act(key, v, wt), sc)
-        if acc:
+            axpy(img, sc, act(key, v, wt).items())
+        if img:
             short.append(tag)
 
     ok, ok_short = not failures, not short

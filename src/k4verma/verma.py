@@ -32,24 +32,22 @@ the same symbolic expansion.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from . import annihilation as an
-from .exact import ExactScalar, ONE, acc, scal
+from .exact import ExactScalar, ONE, acc, axpy, scal
 from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, STAR, complement,
                         derive_seq, indices_of, mask_of, normalize, size)
-from .weights import MonKey, Vector, Weight, act_g0, pair_mask
+from .weights import MonKey, Weight, act_g0, pair_mask
 
 VKey = tuple[int, int, MonKey]      # (Theta power, eta mask, F monomial)
 VVec = dict[VKey, ExactScalar]
 LambdaVal = dict[int, VVec]
 
-# template term: (lambda power, coeff, Theta power, eta mask, token)
-# token: None identity, ("t",), ("C",), ("xi", pair mask)
-_T_T = ("t",)
-_T_C = ("C",)
+# template term: (lambda power, coeff, Theta power, eta mask, token); the
+# token is None (the identity) or the degree-zero key that acts on F:
+# (1, 0) for t, an.CKEY for C and (0, pair mask) for xi_pair
 
 
 def vvec(k: int, indices, mon: MonKey, coeff=1) -> VVec:
@@ -60,9 +58,7 @@ def vvec(k: int, indices, mon: MonKey, coeff=1) -> VVec:
 
 def vvec_add(a: VVec, b: VVec, bscale=1) -> VVec:
     out = dict(a)
-    s = ExactScalar._coerce(bscale)
-    for key, c in b.items():
-        acc(out, key, c * s)
+    axpy(out, ExactScalar._coerce(bscale), b.items())
     return out
 
 
@@ -117,8 +113,7 @@ def w_mul(label: str, v: VVec) -> VVec:
     """Left multiplication by w_ab (the g0-adapted odd generators)."""
     out: VVec = {}
     for c, j in W_DEFS[label]:
-        for key, cc in eta_mul(j, v).items():
-            acc(out, key, cc * c)
+        axpy(out, c, eta_mul(j, v).items())
     return out
 
 
@@ -153,16 +148,16 @@ def _primal_base(imask: int, lmask: int) -> tuple:
                         ps, pm = pair_mask(j, i)
                         if ps:
                             terms.append((0, scal(isign * s1 * s2 * ps), 0, l2,
-                                          ("xi", pm)))
+                                          (0, pm)))
     if ilen == 3:
         s, l2 = derive_seq(indices_of(complement(imask)), lmask)
         if s:
-            terms.append((0, scal(EPS[imask] * s), 0, l2, _T_C))
+            terms.append((0, scal(EPS[imask] * s), 0, l2, an.CKEY))
 
     # lambda^1
     s, l2 = derive_seq(iidx, lmask)
     if s:
-        terms.append((1, scal(isign * s), 0, l2, _T_T))
+        terms.append((1, scal(isign * s), 0, l2, (1, 0)))
     lsign = (-1) ** (ilen + size(lmask))
     for i in (1, 2, 3, 4):
         s1, l1 = derive_seq(iidx + (i,), lmask)
@@ -182,11 +177,11 @@ def _primal_base(imask: int, lmask: int) -> tuple:
             if s3:
                 ps, pm = pair_mask(j, i)
                 if ps:
-                    terms.append((1, scal(s1 * s2 * s3 * ps), 0, l2, ("xi", pm)))
+                    terms.append((1, scal(s1 * s2 * s3 * ps), 0, l2, (0, pm)))
     if ilen == 2:
         s, l2 = derive_seq(indices_of(complement(imask)), lmask)
         if s:
-            terms.append((1, scal(EPS[imask] * s), 0, l2, _T_C))
+            terms.append((1, scal(EPS[imask] * s), 0, l2, an.CKEY))
 
     # lambda^2
     for i in (1, 2, 3, 4):
@@ -195,17 +190,17 @@ def _primal_base(imask: int, lmask: int) -> tuple:
             if s:
                 ps, pm = pair_mask(j, i)
                 if ps:
-                    terms.append((2, scal(isign * s * ps), 0, l2, ("xi", pm)))
+                    terms.append((2, scal(isign * s * ps), 0, l2, (0, pm)))
     if ilen == 1:
         s, l2 = derive_seq(indices_of(complement(imask)), lmask)
         if s:
-            terms.append((2, scal(-EPS[imask] * s), 0, l2, _T_C))
+            terms.append((2, scal(-EPS[imask] * s), 0, l2, an.CKEY))
 
     # lambda^3
     if ilen == 0:
         s, l2 = derive_seq((1, 2, 3, 4), lmask)
         if s:
-            terms.append((3, scal(-s), 0, l2, _T_C))
+            terms.append((3, scal(-s), 0, l2, an.CKEY))
     return tuple(terms)
 
 
@@ -216,7 +211,7 @@ def _theta_step(prev: tuple, imask: int, kprev: int, lmask: int) -> tuple:
         acc(out, (lp, k2 + 1, l2, tok), c)
         acc(out, (lp + 1, k2, l2, tok), c)
     if size(imask) == 4:
-        acc(out, (0, kprev, lmask, _T_C), scal(-EPS[imask]))
+        acc(out, (0, kprev, lmask, an.CKEY), scal(-EPS[imask]))
     return tuple((lp, c, k2, l2, tok) for (lp, k2, l2, tok), c in out.items())
 
 
@@ -257,16 +252,16 @@ def _dual_base(imask: int, lmask: int) -> tuple:
                         ps, pm = pair_mask(s_, r)
                         if ps:
                             terms.append((0, scal(-pref * s1 * s2 * ps),
-                                          0, m, ("xi", pm)))
+                                          0, m, (0, pm)))
     if ilen == 3:
         s1, m = STAR[complement(imask)][lmask]
         if s1:
-            terms.append((0, scal(pref * EPS[imask] * s1), 0, m, _T_C))
+            terms.append((0, scal(pref * EPS[imask] * s1), 0, m, an.CKEY))
 
     # lambda^1
     ss, m = STAR[imask][lmask]
     if ss:
-        terms.append((1, scal(pref * ss), 0, m, _T_T))
+        terms.append((1, scal(pref * ss), 0, m, (1, 0)))
     for i in (1, 2, 3, 4):
         s1, ii = normalize(iidx + (i,))
         if not s1:
@@ -292,11 +287,11 @@ def _dual_base(imask: int, lmask: int) -> tuple:
                 ps, pm = pair_mask(j, i)
                 if ps:
                     terms.append((1, scal(pref * (-1) ** ilen * s1 * s2 * s3 * ps),
-                                  0, m, ("xi", pm)))
+                                  0, m, (0, pm)))
     if ilen == 2:
         s1, m = STAR[complement(imask)][lmask]
         if s1:
-            terms.append((1, scal(pref * EPS[imask] * s1), 0, m, _T_C))
+            terms.append((1, scal(pref * EPS[imask] * s1), 0, m, an.CKEY))
 
     # lambda^2
     for i in (1, 2, 3, 4):
@@ -308,17 +303,17 @@ def _dual_base(imask: int, lmask: int) -> tuple:
             if s2:
                 ps, pm = pair_mask(j, i)
                 if ps:
-                    terms.append((2, scal(-pref * s1 * s2 * ps), 0, m, ("xi", pm)))
+                    terms.append((2, scal(-pref * s1 * s2 * ps), 0, m, (0, pm)))
     if ilen == 1:
         s1, m = STAR[complement(imask)][lmask]
         if s1:
-            terms.append((2, scal(-pref * EPS[imask] * s1), 0, m, _T_C))
+            terms.append((2, scal(-pref * EPS[imask] * s1), 0, m, an.CKEY))
 
     # lambda^3
     if ilen == 0:
         s1, m = STAR[MASK_ALL][lmask]
         if s1:
-            terms.append((3, scal(-pref * s1), 0, m, _T_C))
+            terms.append((3, scal(-pref * s1), 0, m, an.CKEY))
     return tuple(terms)
 
 
@@ -330,24 +325,13 @@ def _dual_template(imask: int, k: int, lmask: int) -> tuple:
 
 
 def _eval_template(terms, mon: MonKey, coeff: ExactScalar, wt: Weight,
-                   out: dict, with_lambda: bool) -> None:
-    for term in terms:
-        if with_lambda:
-            lp, c, k2, l2, tok = term
-        else:
-            c, k2, l2, tok = term
-            lp = 0
-        base = {mon: coeff * c}
+                   out: LambdaVal) -> None:
+    for lp, c, k2, l2, tok in terms:
+        target = out.setdefault(lp, {})
         if tok is None:
-            fv = base
-        elif tok == _T_T:
-            fv = {m: v * wt.mu_t for m, v in base.items()}
-        elif tok == _T_C:
-            fv = {m: v * wt.mu_C for m, v in base.items()}
-        else:
-            fv = act_g0((0, tok[1]), wt, base)
-        target = out.setdefault(lp, {}) if with_lambda else out
-        for m, v in fv.items():
+            acc(target, (k2, l2, mon), coeff * c)
+            continue
+        for m, v in act_g0(tok, wt, {mon: coeff * c}).items():
             acc(target, (k2, l2, m), v)
 
 
@@ -357,7 +341,7 @@ def _lambda_expand(template, imask_or_indices, v: VVec,
              else mask_of(imask_or_indices))
     out: LambdaVal = {}
     for (k, l, mon), c in v.items():
-        _eval_template(template(imask, k, l), mon, c, wt, out, True)
+        _eval_template(template(imask, k, l), mon, c, wt, out)
     return {lp: vv for lp, vv in out.items() if vv}
 
 
@@ -390,19 +374,19 @@ def transform_T_inverse(v: VVec) -> VVec:
 
 @lru_cache(maxsize=None)
 def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
-    """Symbolic action of t^m xi_I on Theta^k eta_L (x) w; terms
-    (coeff, Theta power, eta mask, token)."""
+    """Symbolic action of t^m xi_I on Theta^k eta_L (x) w, as template
+    terms at lambda power 0."""
     out: dict = {}
     if k > 0:
         # a.(Theta u) = [a, Theta].u + Theta.(a.u)
         br = an.bracket({(m, imask): ONE}, dict(an.THETA))
         for key, c in br.items():
             if key == an.CKEY:
-                acc(out, (k - 1, lmask, _T_C), c)
+                acc(out, (k - 1, lmask, an.CKEY), c)
             else:
-                for (c2, k2, l2, tok) in _oracle_template(*key, k - 1, lmask):
+                for (_, c2, k2, l2, tok) in _oracle_template(*key, k - 1, lmask):
                     acc(out, (k2, l2, tok), c * c2)
-        for (c2, k2, l2, tok) in _oracle_template(m, imask, k - 1, lmask):
+        for (_, c2, k2, l2, tok) in _oracle_template(m, imask, k - 1, lmask):
             acc(out, (k2 + 1, l2, tok), c2)
     elif lmask:
         j = indices_of(lmask)[0]
@@ -411,28 +395,25 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
         br = an.bracket({(m, imask): ONE}, {(0, 1 << (j - 1)): ONE})
         for key, c in br.items():
             if key == an.CKEY:
-                acc(out, (0, rest, _T_C), c)
+                acc(out, (0, rest, an.CKEY), c)
             else:
-                for (c2, k2, l2, tok) in _oracle_template(*key, 0, rest):
+                for (_, c2, k2, l2, tok) in _oracle_template(*key, 0, rest):
                     acc(out, (k2, l2, tok), c * c2)
         sgn = (-1) ** (size(imask) & 1)
-        for (c2, k2, l2, tok) in _oracle_template(m, imask, 0, rest):
+        for (_, c2, k2, l2, tok) in _oracle_template(m, imask, 0, rest):
             s, k3, l3 = _eta_shape(j, k2, l2)
             acc(out, (k3, l3, tok), c2 * s * sgn)
     else:
         d = an.grade_key((m, imask))
         if d == 0:
-            if (m, imask) == (1, 0):
-                acc(out, (0, 0, _T_T), ONE)
-            else:
-                acc(out, (0, 0, ("xi", imask)), ONE)
+            acc(out, (0, 0, (m, imask)), ONE)
         elif d < 0:
             if imask == 0:
                 acc(out, (1, 0, None), scal(-2))  # xi_empty = -2 Theta
             else:
                 acc(out, (0, imask, None), ONE)   # eta_i (x) w
         # positive degree annihilates the vacuum vector
-    return tuple((c, k2, l2, tok) for (k2, l2, tok), c in out.items())
+    return tuple((0, c, k2, l2, tok) for (k2, l2, tok), c in out.items())
 
 
 def act_oracle(key, v: VVec, wt: Weight) -> VVec:
@@ -440,10 +421,10 @@ def act_oracle(key, v: VVec, wt: Weight) -> VVec:
     if key == an.CKEY:
         return {vk: c * wt.mu_C for vk, c in v.items()}
     m, imask = key
-    out: VVec = {}
+    out: LambdaVal = {}
     for (k, l, mon), c in v.items():
-        _eval_template(_oracle_template(m, imask, k, l), mon, c, wt, out, False)
-    return out
+        _eval_template(_oracle_template(m, imask, k, l), mon, c, wt, out)
+    return out.get(0, {})
 
 
 def act(key, v: VVec, wt: Weight, dual: bool = False) -> VVec:

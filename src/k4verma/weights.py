@@ -15,18 +15,20 @@ The six quadratic monomials xi_ij sit inside sl(2)+sl(2) via
   f_x = ( xi_13 + xi_24 - i xi_14 + i xi_23)/2
   f_y = ( xi_13 - xi_24 + i xi_14 + i xi_23)/2
 
-and the inverse change of basis is computed exactly once at import time by
-inverting that 6x6 matrix, rather than copying a hand-solved table in.
+SL2_IN_XI holds that table, the one copy in the package.  The inverse
+change of basis is computed once at import time by inverting its 6x6
+matrix, and act_g0 caches the image of each F-monomial under each xi_ij.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .annihilation import CKEY, Key
-from .exact import ExactScalar, I, ONE, ZERO, acc, inverse, scal
+from .exact import ExactScalar, I, ONE, ZERO, acc, axpy, inverse, scal
 from .grassmann import mask_of, size
 
 MonKey = tuple[int, int]            # (number of x1 factors, number of y1 factors)
@@ -90,24 +92,21 @@ def apply_sl2(op: str, wt: Weight, vec: Vector) -> Vector:
     return out
 
 
-def _sl2_to_xi_rows() -> list[list[ExactScalar]]:
-    """Rows: h_x e_x f_x h_y e_y f_y expressed in the xi_ij column basis."""
-    half = scal(Fraction(1, 2))
-    ih = I * half
-    cols = XI_COLUMNS
-    rows = {
-        "h_x": {(1, 2): -I, (3, 4): I},
-        "h_y": {(1, 2): -I, (3, 4): -I},
-        "e_x": {(1, 3): -half, (2, 4): -half, (1, 4): -ih, (2, 3): ih},
-        "e_y": {(1, 3): -half, (2, 4): half, (1, 4): ih, (2, 3): ih},
-        "f_x": {(1, 3): half, (2, 4): half, (1, 4): -ih, (2, 3): ih},
-        "f_y": {(1, 3): half, (2, 4): -half, (1, 4): ih, (2, 3): ih},
-    }
-    return [[rows[op].get(col, ZERO) for col in cols] for op in SL2_OPS]
+_HALF = scal(Fraction(1, 2))
+_IH = I * _HALF
 
-
+# SL2_IN_XI[op] = {pair: coefficient}: each sl2 operator in the xi_ij basis
+SL2_IN_XI: dict[str, dict[tuple[int, int], ExactScalar]] = {
+    "h_x": {(1, 2): -I, (3, 4): I},
+    "e_x": {(1, 3): -_HALF, (2, 4): -_HALF, (1, 4): -_IH, (2, 3): _IH},
+    "f_x": {(1, 3): _HALF, (2, 4): _HALF, (1, 4): -_IH, (2, 3): _IH},
+    "h_y": {(1, 2): -I, (3, 4): -I},
+    "e_y": {(1, 3): -_HALF, (2, 4): _HALF, (1, 4): _IH, (2, 3): _IH},
+    "f_y": {(1, 3): _HALF, (2, 4): -_HALF, (1, 4): _IH, (2, 3): _IH},
+}
 XI_COLUMNS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-_XI_IN_SL2 = inverse(_sl2_to_xi_rows())
+_XI_IN_SL2 = inverse([[SL2_IN_XI[op].get(col, ZERO) for col in XI_COLUMNS]
+                      for op in SL2_OPS])
 
 # XI_COMBO[mask] = [(coefficient, sl2 op name), ...] for each pair monomial;
 # row j of the inverse expresses xi_{pair j} in the sl2 basis
@@ -116,6 +115,16 @@ for _j, _col in enumerate(XI_COLUMNS):
     XI_COMBO[mask_of(_col)] = [
         (c, SL2_OPS[_k]) for _k, c in enumerate(_XI_IN_SL2[_j])
         if not c.is_zero()]
+
+
+@lru_cache(maxsize=None)
+def _xi_image(mask: int, m: int, n: int, mon: MonKey) -> tuple:
+    """xi_{pair mask} on one monomial of F(m, n), frozen; mu plays no part."""
+    wt = Weight(m, n, ZERO, ZERO)
+    out: Vector = {}
+    for c, op in XI_COMBO[mask]:
+        axpy(out, c, apply_sl2(op, wt, {mon: ONE}).items())
+    return tuple(out.items())
 
 
 def act_g0(key: Key, wt: Weight, vec: Vector) -> Vector:
@@ -127,9 +136,8 @@ def act_g0(key: Key, wt: Weight, vec: Vector) -> Vector:
         return {k: c * wt.mu_t for k, c in vec.items()}
     if tpow == 0 and size(mask) == 2:
         out: Vector = {}
-        for c, op in XI_COMBO[mask]:
-            for k, v in apply_sl2(op, wt, vec).items():
-                acc(out, k, v * c)
+        for mon, c in vec.items():
+            axpy(out, c, _xi_image(mask, wt.m, wt.n, mon))
         return out
     raise ValueError(f"{key} is not a degree-zero basis key")
 
@@ -149,15 +157,13 @@ def hwv(wt: Weight) -> Vector:
 
 def e1(wt: Weight, vec: Vector) -> Vector:
     out = apply_sl2("e_x", wt, vec)
-    for k, c in apply_sl2("e_y", wt, vec).items():
-        acc(out, k, c)
+    axpy(out, ONE, apply_sl2("e_y", wt, vec).items())
     return out
 
 
 def e2(wt: Weight, vec: Vector) -> Vector:
     out = apply_sl2("e_x", wt, vec)
-    for k, c in apply_sl2("e_y", wt, vec).items():
-        acc(out, k, -c)
+    axpy(out, -ONE, apply_sl2("e_y", wt, vec).items())
     return out
 
 

@@ -153,3 +153,39 @@ def test_quotient_morphism_bound_follows_max_tpow(capsys, monkeypatch):
     quo = next(c for c in rep["checks"] if c["name"] == "quotient-morphism")
     assert quo == {"name": "quotient-morphism", "ok": True,
                    "pairs": 96 ** 2, "max_ypow": 5}
+
+
+def test_negative_bounds_are_usage_errors(tmp_path):
+    src = os.path.dirname(os.path.dirname(k4verma.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["axioms", "--max-tpow", "-2", "--max-dpow", "0"],
+                 ["axioms", "--max-tpow", "0", "--max-dpow", "-1"],
+                 ["verify-theorems", "--max-mn", "-1", "--negatives", "0"],
+                 ["verify-theorems", "--max-mn", "0", "--negatives", "-1"],
+                 ["complexes", "--max-mn", "-1"],
+                 ["coadjoint", "--max-degree", "-1"]):
+        proc = subprocess.run([sys.executable, "-m", "k4verma.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=60)
+        assert proc.returncode == 2, argv
+        assert "non-negative integer" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.stdout == "", argv
+
+
+def test_quotient_morphism_failure_names_its_pairs(capsys, monkeypatch):
+    # negative control: phi doubles xi_1, so [xi_1, xi_1] = -xi_empty breaks
+    phi = an.phi
+    xi1 = (0, 1)
+
+    def bad_phi(a):
+        return {k: c * 2 if k == xi1 else c for k, c in phi(a).items()}
+
+    monkeypatch.setattr(an, "phi", bad_phi)
+    code, rep = run(capsys, "axioms", "--max-tpow", "0", "--max-dpow", "0")
+    assert code == 1
+    quo = next(c for c in rep["checks"] if c["name"] == "quotient-morphism")
+    assert not quo["ok"] and quo["max_ypow"] == 1
+    failures = an.check_quotient_morphism(1).failures
+    assert len(failures) > 3
+    assert quo["counterexamples"] == [repr(f) for f in failures[:3]]

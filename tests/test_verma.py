@@ -151,3 +151,24 @@ def test_transform_T_inverse_round_trips():
             v = vm.vvec_add(V(k, l), V(k, l, mon=(0, 1), coeff=scal(2, -1)))
             assert vm.transform_T_inverse(vm.transform_T(v)) == v, (k, l)
             assert vm.transform_T(vm.transform_T_inverse(v)) == v, (k, l)
+
+
+def test_template_tokens_are_degree_zero_keys():
+    # every term is (lambda power, coeff, Theta power, eta mask, token), and
+    # a token is None or a degree-zero key that the g0 action takes
+    from k4verma.weights import act_g0, hwv
+    for imask in range(16):
+        for lmask in range(16):
+            for k in range(3):
+                terms = [*vm._primal_template(imask, k, lmask),
+                         *vm._dual_template(imask, k, lmask)]
+                for tpow in range(3):
+                    oracle = vm._oracle_template(tpow, imask, k, lmask)
+                    assert all(len(t) == 5 and t[0] == 0 for t in oracle)
+                    terms += oracle
+                for term in terms:
+                    assert len(term) == 5
+                    tok = term[4]
+                    if tok is not None:
+                        assert an.grade_key(tok) == 0
+                        act_g0(tok, WT, hwv(WT))

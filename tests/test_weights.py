@@ -140,3 +140,46 @@ def test_lowering_word_reproduces_monomials():
             vec = wt.apply_sl2("f_y", w, vec)
         vec = {k: c * coeff for k, c in vec.items()}
         assert vec == {key: ONE}
+
+
+def test_sl2_in_xi_table_matches_the_operators():
+    # sum_pair SL2_IN_XI[op][pair] xi_pair, acted through act_g0, is op itself;
+    # the solver's e1 and e2 rows are e_x + e_y and e_x - e_y
+    from k4verma import solver as sv
+    from k4verma.exact import axpy
+
+    def combo_on(combo, w, vec):
+        out = {}
+        for c, pmask in combo:
+            axpy(out, c, wt.act_g0((0, pmask), w, vec).items())
+        return out
+
+    for m in range(4):
+        for n in range(4):
+            w = W(m, n)
+            for mon in w.keys():
+                vec = {mon: ONE}
+                for op in wt.SL2_OPS:
+                    combo = [(c, mask_of(pair))
+                             for pair, c in wt.SL2_IN_XI[op].items()]
+                    assert combo_on(combo, w, vec) == wt.apply_sl2(op, w, vec)
+                for (tag, combo), e in zip(sv._E_ROWS, (wt.e1, wt.e2)):
+                    assert combo_on(combo, w, vec) == e(w, vec), tag
+
+
+def test_warm_solve_makes_no_sl2_calls(monkeypatch):
+    # the image of a monomial under xi_ij is cached per (mask, m, n, monomial)
+    from k4verma import solver as sv
+    w = wt.weight(1, 0, scal("5/2"), scal("-1/2"))
+    first = sv.solve(w, 2, dual=True)
+    calls = []
+    apply_sl2 = wt.apply_sl2
+
+    def counted(*args):
+        calls.append(args[0])
+        return apply_sl2(*args)
+
+    monkeypatch.setattr(wt, "apply_sl2", counted)
+    again = sv.solve(wt.weight(1, 0, scal(3), scal(7)), 2, dual=True)
+    assert sv.solve(w, 2, dual=True) == first
+    assert again.kernel_dim == 0 and calls == []
