@@ -165,6 +165,7 @@ def basis_of_degree(d: int) -> list[Key]:
 @dataclass
 class JacobiReport:
     triples_checked: int = 0    # tuples swept: pairs for the quotient check
+    pairs_checked: int = 0      # the cocycle check's skew-symmetry pairs
     failures: list = field(default_factory=list)
 
     @property
@@ -215,6 +216,7 @@ def check_cocycle(max_tpow: int = 3, psi=psi_default) -> JacobiReport:
             rhs = -((-1) ** (parity(a) * parity(b))) * psi(b, a)
             if lhs != rhs:
                 rep.failures.append(("skew", a, b))
+            rep.pairs_checked += 1
     singles = {k: {k: scal(1)} for k in keys}
     plain = {(x, y): drop_central(bracket(singles[x], singles[y], psi))
              for x in keys for y in keys}

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from . import annihilation as an
 from .exact import ExactScalar, ONE, RowReducer, acc, axpy, scal
-from .grassmann import ALL_MASKS, indices_of, mask_of, size
-from .verma import VVec, act, vvec_add
+from .grassmann import ALL_MASKS, indices_of, mask_of
+from .solver import candidate_keys
+from .verma import VVec, act_elem, vvec_add
 from .weights import weight
 
 # dual elements reuse the (t-power, mask) keys of the primal basis
@@ -26,13 +27,6 @@ DualElement = dict[an.Key, ExactScalar]
 THETA_STAR: DualElement = {(0, 0): scal(-2)}
 
 WT_COADJOINT = weight(0, 0, 2, 0)
-
-
-def _act_elem(g: an.Element, v: VVec) -> VVec:
-    out: VVec = {}
-    for key, c in g.items():
-        axpy(out, c, act(key, v, WT_COADJOINT).items())
-    return out
 
 
 def coadjoint_act(x: an.Element, f: DualElement) -> DualElement:
@@ -72,12 +66,6 @@ def phi_image(v: VVec) -> DualElement:
     return out
 
 
-def ind_basis_of_degree(d: int) -> list:
-    """Basis keys of the degree-d slice of the induced module."""
-    return sorted((k, l, (0, 0)) for k in range(d // 2 + 1)
-                  for l in ALL_MASKS if 2 * k + size(l) == d)
-
-
 @dataclass(frozen=True)
 class IsoReport:
     max_degree: int
@@ -96,7 +84,7 @@ def check_phi_iso(max_degree: int) -> IsoReport:
     dims = []
     bij = []
     for d in range(max_degree + 1):
-        ind_keys = ind_basis_of_degree(d)
+        ind_keys = candidate_keys(WT_COADJOINT, d)
         dual_keys = sorted(an.basis_of_degree(d - 2))
         dims.append(len(ind_keys))
         if len(ind_keys) != len(dual_keys):
@@ -113,8 +101,9 @@ def check_phi_iso(max_degree: int) -> IsoReport:
             {(1, 0): ONE}, {(1, 4): ONE}, {(0, 15): ONE}]
     sample_degree = min(max_degree, 4)
     vecs = [{vk: ONE} for d in range(sample_degree + 1)
-            for vk in ind_basis_of_degree(d)]
-    equi = all(phi_image(_act_elem(g, v)) == coadjoint_act(g, phi_image(v))
+            for vk in candidate_keys(WT_COADJOINT, d)]
+    equi = all(phi_image(act_elem(g, v, WT_COADJOINT))
+               == coadjoint_act(g, phi_image(v))
                for g in gens for v in vecs)
 
     u, v0 = vecs[0], vecs[min(3, len(vecs) - 1)]

@@ -222,8 +222,8 @@ class AxiomReport:
         return not self.failures
 
 
-def check_conformal_axioms(max_dpow: int = 2, triple_dpow: int | None = None,
-                           progress=None) -> AxiomReport:
+def check_conformal_axioms(max_dpow: int = 2,
+                           triple_dpow: int | None = None) -> AxiomReport:
     """Exhaustive sesquilinearity/skew check on basis pairs and Jacobi on
     basis triples with pd-powers up to the given bounds."""
     rep = AxiomReport()
@@ -237,9 +237,7 @@ def check_conformal_axioms(max_dpow: int = 2, triple_dpow: int | None = None,
                 rep.failures.append(("skew", a, b))
             rep.pairs_checked += 1
     tgens = k4_basis(max_dpow if triple_dpow is None else triple_dpow)
-    for idx, a in enumerate(tgens):
-        if progress:
-            progress(idx, len(tgens))
+    for a in tgens:
         for b in tgens:
             for c in tgens:
                 if jacobi_defect(a, b, c):

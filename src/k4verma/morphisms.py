@@ -16,19 +16,15 @@ from . import annihilation as an
 from .exact import ExactScalar, ONE, ZERO, axpy, scal
 from .grassmann import mask_of
 from .solver import FAMILIES, build_theorem_vector, verify_vector
-from .verma import VVec, act, umult
+from .verma import VVec, act_elem, umult
 from .weights import SL2_IN_XI, Weight, lowering_word, weight
 
 # h_x/h_y label shift carried by each odd generator
 _W_SHIFT = {"11": (1, 1), "12": (1, -1), "21": (-1, 1), "22": (-1, -1)}
 
-
-def _apply_combo(combo: dict, v: VVec, wt: Weight) -> VVec:
-    """An sl2 operator, given as {pair: coefficient}, acting on v."""
-    out: VVec = {}
-    for pair, sc in combo.items():
-        axpy(out, sc, act((0, mask_of(pair)), v, wt).items())
-    return out
+# the lowering operators f_x and f_y as annihilation-algebra elements
+_F_X, _F_Y = ({(0, mask_of(pair)): c for pair, c in SL2_IN_XI[op].items()}
+              for op in ("f_x", "f_y"))
 
 
 def source_weight(label: str, m: int, n: int) -> Weight:
@@ -67,9 +63,9 @@ def evaluate(phi: VermaMorphism, v: VVec) -> VVec:
         coeff, (px, py) = lowering_word(mon, src)
         img = phi.image_of_hwv
         for _ in range(py):
-            img = _apply_combo(SL2_IN_XI["f_y"], img, tgt)
+            img = act_elem(_F_Y, img, tgt)
         for _ in range(px):
-            img = _apply_combo(SL2_IN_XI["f_x"], img, tgt)
+            img = act_elem(_F_X, img, tgt)
         axpy(out, c * coeff, umult(k, lmask, img).items())
     return out
 

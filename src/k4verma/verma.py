@@ -119,7 +119,6 @@ def w_mul(label: str, v: VVec) -> VVec:
 
 # -- the closed-form lambda action --------------------------------------------
 
-@lru_cache(maxsize=None)
 def _primal_base(imask: int, lmask: int) -> tuple:
     """Terms of xi_I lambda (eta_L (x) v), Theta power zero."""
     terms: list = []
@@ -222,7 +221,6 @@ def _primal_template(imask: int, k: int, lmask: int) -> tuple:
     return _theta_step(_primal_template(imask, k - 1, lmask), imask, k - 1, lmask)
 
 
-@lru_cache(maxsize=None)
 def _dual_base(imask: int, lmask: int) -> tuple:
     """The Hodge-transported action on the dual-side monomial eta_L."""
     terms: list = []
@@ -335,22 +333,20 @@ def _eval_template(terms, mon: MonKey, coeff: ExactScalar, wt: Weight,
             acc(target, (k2, l2, m), v)
 
 
-def _lambda_expand(template, imask_or_indices, v: VVec,
-                   wt: Weight) -> LambdaVal:
-    imask = (imask_or_indices if isinstance(imask_or_indices, int)
-             else mask_of(imask_or_indices))
+def _lambda_expand(template, v: VVec, wt: Weight) -> LambdaVal:
+    """Evaluate template(k, lmask) on each term of v, by lambda power."""
     out: LambdaVal = {}
     for (k, l, mon), c in v.items():
-        _eval_template(template(imask, k, l), mon, c, wt, out)
+        _eval_template(template(k, l), mon, c, wt, out)
     return {lp: vv for lp, vv in out.items() if vv}
 
 
-def lambda_action(imask_or_indices, v: VVec, wt: Weight) -> LambdaVal:
-    return _lambda_expand(_primal_template, imask_or_indices, v, wt)
+def lambda_action(imask: int, v: VVec, wt: Weight) -> LambdaVal:
+    return _lambda_expand(lambda k, l: _primal_template(imask, k, l), v, wt)
 
 
-def dual_lambda_action(imask_or_indices, v: VVec, wt: Weight) -> LambdaVal:
-    return _lambda_expand(_dual_template, imask_or_indices, v, wt)
+def dual_lambda_action(imask: int, v: VVec, wt: Weight) -> LambdaVal:
+    return _lambda_expand(lambda k, l: _dual_template(imask, k, l), v, wt)
 
 
 def transform_T(v: VVec) -> VVec:
@@ -374,18 +370,16 @@ def transform_T_inverse(v: VVec) -> VVec:
 
 @lru_cache(maxsize=None)
 def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
-    """Symbolic action of t^m xi_I on Theta^k eta_L (x) w, as template
-    terms at lambda power 0."""
+    """Symbolic action of the key (m, imask) on Theta^k eta_L (x) w, as
+    template terms at lambda power 0; C is central, so for CKEY the
+    recursion leaves the one term ((0, ONE, k, lmask, CKEY),)."""
     out: dict = {}
     if k > 0:
         # a.(Theta u) = [a, Theta].u + Theta.(a.u)
         br = an.bracket({(m, imask): ONE}, dict(an.THETA))
         for key, c in br.items():
-            if key == an.CKEY:
-                acc(out, (k - 1, lmask, an.CKEY), c)
-            else:
-                for (_, c2, k2, l2, tok) in _oracle_template(*key, k - 1, lmask):
-                    acc(out, (k2, l2, tok), c * c2)
+            for (_, c2, k2, l2, tok) in _oracle_template(*key, k - 1, lmask):
+                acc(out, (k2, l2, tok), c * c2)
         for (_, c2, k2, l2, tok) in _oracle_template(m, imask, k - 1, lmask):
             acc(out, (k2 + 1, l2, tok), c2)
     elif lmask:
@@ -394,11 +388,8 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
         # a.(eta_j u) = [a, xi_j].u + (-1)^{p(a)} eta_j.(a.u)
         br = an.bracket({(m, imask): ONE}, {(0, 1 << (j - 1)): ONE})
         for key, c in br.items():
-            if key == an.CKEY:
-                acc(out, (0, rest, an.CKEY), c)
-            else:
-                for (_, c2, k2, l2, tok) in _oracle_template(*key, 0, rest):
-                    acc(out, (k2, l2, tok), c * c2)
+            for (_, c2, k2, l2, tok) in _oracle_template(*key, 0, rest):
+                acc(out, (k2, l2, tok), c * c2)
         sgn = (-1) ** (size(imask) & 1)
         for (_, c2, k2, l2, tok) in _oracle_template(m, imask, 0, rest):
             s, k3, l3 = _eta_shape(j, k2, l2)
@@ -417,22 +408,26 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
 
 
 def act_oracle(key, v: VVec, wt: Weight) -> VVec:
-    """Module action of a basis element (t-power, mask) or the central key."""
-    if key == an.CKEY:
-        return {vk: c * wt.mu_C for vk, c in v.items()}
-    m, imask = key
-    out: LambdaVal = {}
-    for (k, l, mon), c in v.items():
-        _eval_template(_oracle_template(m, imask, k, l), mon, c, wt, out)
-    return out.get(0, {})
+    """Module action of a basis key (t-power, mask), the central key too."""
+    return _lambda_expand(lambda k, l: _oracle_template(*key, k, l),
+                          v, wt).get(0, {})
 
 
-def act(key, v: VVec, wt: Weight, dual: bool = False) -> VVec:
+def act(key, v: VVec, wt: Weight) -> VVec:
     """Action of t^j xi_I (or C) through the closed-form lambda expansion."""
     if key == an.CKEY:
-        return {vk: c * wt.mu_C for vk, c in v.items()}
+        # C is central: its template is the one C-token term
+        return _lambda_expand(lambda k, l: ((0, ONE, k, l, an.CKEY),),
+                              v, wt).get(0, {})
     j, imask = key
-    fn = dual_lambda_action if dual else lambda_action
-    coeff = fn(imask, v, wt).get(j, {})
+    coeff = lambda_action(imask, v, wt).get(j, {})
     f = factorial(j)
     return {vk: c * f for vk, c in coeff.items()} if f != 1 else coeff
+
+
+def act_elem(g: an.Element, v: VVec, wt: Weight) -> VVec:
+    """Action of an algebra element: the sum of c * act(key, v, wt)."""
+    out: VVec = {}
+    for key, c in g.items():
+        axpy(out, c, act(key, v, wt).items())
+    return out

@@ -128,12 +128,12 @@ def _xi_image(mask: int, m: int, n: int, mon: MonKey) -> tuple:
 
 
 def act_g0(key: Key, wt: Weight, vec: Vector) -> Vector:
-    """Action of a degree-zero annihilation-algebra basis key on F."""
-    if key == CKEY:
-        return {k: c * wt.mu_C for k, c in vec.items()}
+    """Action of a degree-zero annihilation-algebra basis key on F; t and
+    C act by the scalars mu_t and mu_C, the one place mu enters."""
+    if key == CKEY or key == (1, 0):
+        mu = wt.mu_C if key == CKEY else wt.mu_t
+        return {} if mu.is_zero() else {k: c * mu for k, c in vec.items()}
     tpow, mask = key
-    if tpow == 1 and mask == 0:
-        return {k: c * wt.mu_t for k, c in vec.items()}
     if tpow == 0 and size(mask) == 2:
         out: Vector = {}
         for mon, c in vec.items():

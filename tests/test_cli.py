@@ -10,6 +10,7 @@ import k4verma
 from k4verma import annihilation as an
 from k4verma import solver as sv
 from k4verma.cli import main
+from k4verma.exact import ONE
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 
@@ -41,10 +42,30 @@ def test_corrupted_cocycle_is_detected(capsys):
                     "--corrupt-cocycle")
     assert code == 1 and not rep["ok"]
     failed = {c["name"] for c in rep["checks"] if not c["ok"]}
-    assert failed == {"annihilation-jacobi", "cocycle-conditions"}
+    assert failed == {"annihilation-jacobi", "cocycle-conditions",
+                      "cocycle-from-splitting"}
     jac = next(c for c in rep["checks"] if c["name"] == "annihilation-jacobi")
     assert jac["counterexamples"]
     assert_golden(rep, "axioms_corrupt")
+
+
+def test_kernel_is_central_failure_names_its_keys(capsys, monkeypatch):
+    # negative control: the Lie bracket of the kernel key K with each basis
+    # key b of y-power 1 becomes b instead of 0
+    bracket = an.lie_bracket_K4
+
+    def leaky(a, b):
+        if a == {an.KERNEL_KEY: ONE} and all(k[2] == 1 for k in b):
+            return dict(b)
+        return bracket(a, b)
+
+    monkeypatch.setattr(an, "lie_bracket_K4", leaky)
+    code, rep = run(capsys, "axioms", "--max-tpow", "0", "--max-dpow", "0")
+    assert code == 1
+    failed = {c["name"]: c for c in rep["checks"] if not c["ok"]}
+    assert set(failed) == {"quotient-morphism", "kernel-is-central"}
+    assert failed["kernel-is-central"]["counterexamples"] == [
+        "(0, 0, 1)", "(0, 1, 1)", "(0, 2, 1)"]
 
 
 def test_search_reports_the_kernel(capsys):

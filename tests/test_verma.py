@@ -172,3 +172,56 @@ def test_template_tokens_are_degree_zero_keys():
                     if tok is not None:
                         assert an.grade_key(tok) == 0
                         act_g0(tok, WT, hwv(WT))
+
+
+def test_C_template_is_one_term_and_acts_through_g0():
+    # C is central: the oracle recursion leaves it one C-token term, and
+    # both actions evaluate that term through act_g0
+    for k in range(3):
+        for l in range(16):
+            assert vm._oracle_template(*an.CKEY, k, l) == \
+                ((0, ONE, k, l, an.CKEY),)
+            v = V(k, l)
+            expect = {(k, l, MON): WT.mu_C}
+            assert vm.act(an.CKEY, v, WT) == expect
+            assert vm.act_oracle(an.CKEY, v, WT) == expect
+
+
+def test_zero_mu_gives_empty_images():
+    # at mu_C = 0 (the coadjoint weight) C acts by zero, and at mu_t = 0 so
+    # does t; every action returns {} there, not explicit zero entries
+    from k4verma.coadjoint import WT_COADJOINT
+    from k4verma.weights import act_g0, hwv
+    for k in range(3):
+        for l in range(16):
+            v = V(k, l, mon=(0, 0))
+            assert vm.act(an.CKEY, v, WT_COADJOINT) == {}
+            assert vm.act_oracle(an.CKEY, v, WT_COADJOINT) == {}
+    assert act_g0(an.CKEY, WT_COADJOINT, hwv(WT_COADJOINT)) == {}
+    w = weight(1, 0, 0, scal(3))
+    assert act_g0((1, 0), w, hwv(w)) == {}
+
+
+def test_actions_never_return_zero_entries():
+    from k4verma.weights import act_g0
+    w = weight(1, 0, 0, 0)
+    keys = [an.CKEY] + [(j, imask) for j in range(3) for imask in range(16)]
+    for key in keys:
+        for mon in w.keys():
+            images = [act_g0(key, w, {mon: ONE})] \
+                if an.grade_key(key) == 0 else []
+            for k in range(2):
+                for l in range(16):
+                    v = V(k, l, mon=mon)
+                    images += [vm.act(key, v, w), vm.act_oracle(key, v, w)]
+            for img in images:
+                assert not any(c.is_zero() for c in img.values()), key
+
+
+def test_act_elem_is_the_sum_of_key_actions():
+    g = {(0, mask_of((1, 3))): scal(2), (1, 0): scal(0, 1), an.CKEY: ONE}
+    v = vm.vvec_add(V(0, (1, 2)), V(1, (3,), coeff=scal(0, 2)))
+    expect = {}
+    for key, c in g.items():
+        expect = vm.vvec_add(expect, vm.act(key, v, WT), bscale=c)
+    assert vm.act_elem(g, v, WT) == expect
