@@ -31,7 +31,6 @@ other; this is the redundancy that guards the cocycle table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
@@ -162,21 +161,10 @@ def basis_of_degree(d: int) -> list[Key]:
 
 # -- axiom checks ------------------------------------------------------------
 
-@dataclass
-class JacobiReport:
-    triples_checked: int = 0    # tuples swept: pairs for the quotient check
-    pairs_checked: int = 0      # the cocycle check's skew-symmetry pairs
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def check_jacobi(max_tpow: int = 3, psi=psi_default) -> JacobiReport:
+def check_jacobi(max_tpow: int = 3, psi=psi_default) -> cf.AxiomReport:
     """[a,[b,c]] = [[a,b],c] + (-1)^{p(a)p(b)} [b,[a,c]] over all basis
     triples, central term included."""
-    rep = JacobiReport()
+    rep = cf.AxiomReport()
     keys = basis(max_tpow, with_central=False)
     singles = {k: {k: scal(1)} for k in keys}
     pair = {(x, y): bracket(singles[x], singles[y], psi) for x in keys for y in keys}
@@ -196,10 +184,10 @@ def check_jacobi(max_tpow: int = 3, psi=psi_default) -> JacobiReport:
     return rep
 
 
-def check_cocycle(max_tpow: int = 3, psi=psi_default) -> JacobiReport:
+def check_cocycle(max_tpow: int = 3, psi=psi_default) -> cf.AxiomReport:
     """Super skew-symmetry of psi and the 2-cocycle identity
     psi(a,[b,c]) = psi([a,b],c) + (-1)^{p(a)p(b)} psi(b,[a,c])."""
-    rep = JacobiReport()
+    rep = cf.AxiomReport()
     keys = basis(max_tpow, with_central=False)
 
     def psi_of(elem: Element, other: Key, flip: bool) -> ExactScalar:
@@ -325,10 +313,10 @@ def section(a: Element) -> LieElement:
     return out
 
 
-def check_quotient_morphism(max_ypow: int) -> JacobiReport:
+def check_quotient_morphism(max_ypow: int) -> cf.AxiomReport:
     """phi[a, b] = [phi a, phi b] modulo C over all pairs of Lie basis
     keys with y-power <= max_ypow; failures are the pairs (a, b)."""
-    rep = JacobiReport()
+    rep = cf.AxiomReport()
     keys = lie_basis(max_ypow)
     singles = {k: {k: scal(1)} for k in keys}
     for a in keys:
@@ -337,7 +325,7 @@ def check_quotient_morphism(max_ypow: int) -> JacobiReport:
             rhs = drop_central(bracket(phi(singles[a]), phi(singles[b])))
             if lhs != rhs:
                 rep.failures.append((a, b))
-            rep.triples_checked += 1
+            rep.pairs_checked += 1
     return rep
 
 

@@ -65,10 +65,6 @@ def _wt_payload(wt: Weight) -> dict:
             "mu_C": str(Fraction(wt.mu_C.re))}
 
 
-def _wt_name(wt: Weight) -> str:
-    return f"({wt.m},{wt.n},{Fraction(wt.mu_t.re)},{Fraction(wt.mu_C.re)})"
-
-
 def _vvec_payload(v) -> list:
     return [{"theta": k, "eta": list(indices_of(l)), "monomial": list(mon),
              "coeff": c.to_json()}
@@ -92,12 +88,13 @@ def cmd_axioms(args) -> int:
     psi = _corrupted_psi if args.corrupt_cocycle else an.psi_default
     checks = []
 
-    rep = cf.check_conformal_axioms(args.max_dpow, args.max_dpow)
+    rep = cf.check_conformal_axioms(args.max_dpow)
     checks.append(_check("conformal-axioms", rep.ok,
                          pairs=rep.pairs_checked, triples=rep.triples_checked,
                          counterexamples=[repr(f) for f in rep.failures[:3]]))
-    closure = cf.check_derived_closure()
-    checks.append(_check("derived-subalgebra-closure", closure))
+    closure = cf.check_derived_closure(args.max_dpow)
+    checks.append(_check("derived-subalgebra-closure", closure,
+                         max_dpow=args.max_dpow))
 
     jac = an.check_jacobi(args.max_tpow, psi=psi)
     checks.append(_check("annihilation-jacobi", jac.ok,
@@ -112,7 +109,7 @@ def cmd_axioms(args) -> int:
     ymax = args.max_tpow + 1
     quo = an.check_quotient_morphism(ymax)
     checks.append(_check("quotient-morphism", quo.ok,
-                         pairs=quo.triples_checked, max_ypow=ymax,
+                         pairs=quo.pairs_checked, max_ypow=ymax,
                          **_named(quo.failures)))
 
     kernel = {an.KERNEL_KEY: ONE}
@@ -187,7 +184,7 @@ def cmd_verify_theorems(args) -> int:
 
     def job(item):
         wt, instances = item
-        results = sv.classify(wt, (1, 2, 3))
+        results = sv.classify(wt)
         witness: dict = {}
         for d in (1, 2, 3):
             rep = results[d]
@@ -203,7 +200,7 @@ def cmd_verify_theorems(args) -> int:
                 witness.setdefault("failing_vectors", []).append(
                     {"instance": f"{lab}({m},{n})",
                      "generators": list(ver.failures)})
-        return _check(f"weight {_wt_name(wt)}", not witness,
+        return _check(f"weight {wt}", not witness,
                       instances=[f"{lab}({m},{n})" for lab, m, n in instances],
                       **witness)
 
@@ -211,9 +208,9 @@ def cmd_verify_theorems(args) -> int:
         table.items(), key=lambda kv: mo._node_sort_key(kv[0]))]
 
     def neg_job(wt):
-        res = sv.classify(wt, (1, 2, 3), cross_check=False)
+        res = sv.classify(wt, cross_check=False)
         empty = all(res[d].kernel_dim == 0 for d in (1, 2, 3))
-        return _check(f"off-list {_wt_name(wt)}", empty)
+        return _check(f"off-list {wt}", empty)
 
     checks += [neg_job(wt) for wt in
                sv.off_list_weights(args.max_mn, args.negatives, args.seed)]
@@ -234,9 +231,10 @@ def cmd_complexes(args) -> int:
         _check("supertrace-t", mo.supertrace_ad({(1, 0): ONE}) == scal(2)),
         _check("supertrace-C", mo.supertrace_ad({an.CKEY: ONE}).is_zero()),
     ]
-    npaths, bad = mo.check_two_paths(graph)
-    checks.append(_check("two-path-compositions-vanish", not bad,
-                         paths=npaths, counterexamples=bad[:5]))
+    rep = mo.check_two_paths(graph)
+    checks.append(_check("two-path-compositions-vanish", rep.ok,
+                         paths=rep.pairs_checked,
+                         counterexamples=rep.failures[:5]))
 
     json_path = args.out or "graph.json"
     dot_path = os.path.splitext(json_path)[0] + ".dot"

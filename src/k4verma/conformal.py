@@ -213,6 +213,7 @@ def jacobi_defect(a: Gen, b: Gen, c: Gen) -> BiPoly:
 
 @dataclass
 class AxiomReport:
+    """Counts and failures of one exhaustive sweep."""
     pairs_checked: int = 0
     triples_checked: int = 0
     failures: list = field(default_factory=list)
@@ -222,10 +223,9 @@ class AxiomReport:
         return not self.failures
 
 
-def check_conformal_axioms(max_dpow: int = 2,
-                           triple_dpow: int | None = None) -> AxiomReport:
+def check_conformal_axioms(max_dpow: int = 2) -> AxiomReport:
     """Exhaustive sesquilinearity/skew check on basis pairs and Jacobi on
-    basis triples with pd-powers up to the given bounds."""
+    basis triples with pd-powers up to max_dpow."""
     rep = AxiomReport()
     gens = k4_basis(max_dpow)
     for a in gens:
@@ -236,10 +236,9 @@ def check_conformal_axioms(max_dpow: int = 2,
             if not poly_is_zero(skew_defect(a, b)):
                 rep.failures.append(("skew", a, b))
             rep.pairs_checked += 1
-    tgens = k4_basis(max_dpow if triple_dpow is None else triple_dpow)
-    for a in tgens:
-        for b in tgens:
-            for c in tgens:
+    for a in gens:
+        for b in gens:
+            for c in gens:
                 if jacobi_defect(a, b, c):
                     rep.failures.append(("jacobi", a, b, c))
                 rep.triples_checked += 1

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from . import annihilation as an
+from .conformal import AxiomReport
 from .exact import ExactScalar, ONE, ZERO, axpy, scal
 from .grassmann import mask_of
 from .solver import FAMILIES, build_theorem_vector, verify_vector
@@ -172,21 +173,21 @@ def two_paths(graph: ComplexGraph):
             yield first, second
 
 
-def check_two_paths(graph: ComplexGraph) -> tuple[int, list]:
-    """Compose along every 2-path; returns the number of paths and the
-    (label, params, label, params) of each pair that does not vanish.
-    Each edge's morphism is built once."""
+def check_two_paths(graph: ComplexGraph) -> AxiomReport:
+    """Compose along every 2-path; pairs_checked counts the paths, and
+    failures are the (label, params, label, params) of each pair that
+    does not vanish.  Each edge's morphism is built once."""
     built: dict[Edge, VermaMorphism] = {}
-    paths, failures = 0, []
+    rep = AxiomReport()
     for first, second in two_paths(graph):
         for e in (second, first):
             if e not in built:
                 built[e] = morphism_from_family(e.label, *e.params)
-        paths += 1
+        rep.pairs_checked += 1
         if not compose_is_zero(built[second], built[first]):
-            failures.append((first.label, first.params,
-                             second.label, second.params))
-    return paths, failures
+            rep.failures.append((first.label, first.params,
+                                 second.label, second.params))
+    return rep
 
 
 # ---------------------------------------------------------------------------

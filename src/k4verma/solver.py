@@ -10,9 +10,10 @@ the field action:
   * e1 and e2 annihilate the candidate.
 
 Each (weight, degree) pair gives one exact linear system whose kernel
-is the space of singular vectors.  A second assembly route conjugates
-by the odd reflection T and imposes the same conditions through the
-dual-form action; both kernels must coincide once mapped back.
+is the space of singular vectors.  A second assembly route applies the
+odd reflection T to each candidate column and imposes the same
+conditions through the dual-form action; both routes solve over the same
+plain columns, so their kernels must coincide.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
                     sparse_nullspace)
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
 from .verma import LambdaVal, VKey, VVec, act_elem, degree, \
-    dual_lambda_action, lambda_action, transform_T_inverse, vvec_add, w_mul
+    dual_lambda_action, lambda_action, transform_T, vvec_add, w_mul
 from .weights import SL2_IN_XI, Weight, weight
 
 
@@ -57,16 +58,15 @@ def _conditions(lam: dict[int, LambdaVal]) -> dict:
     return out
 
 
-def candidate_keys(wt: Weight, deg: int, tside: bool = False) -> list[VKey]:
-    """Basis keys of the degree-deg slice (or of its image under T)."""
+def candidate_keys(wt: Weight, deg: int) -> list[VKey]:
+    """Basis keys of the degree-deg slice."""
     out: list[VKey] = []
     for k in range(deg // 2 + 1):
         r = deg - 2 * k
         if r > 4:
             continue
-        want = 4 - r if tside else r
         for l in ALL_MASKS:
-            if size(l) != want:
+            if size(l) != r:
                 continue
             for mon in wt.keys():
                 out.append((k, l, mon))
@@ -74,10 +74,12 @@ def candidate_keys(wt: Weight, deg: int, tside: bool = False) -> list[VKey]:
 
 
 def _assemble_rows(wt: Weight, cols: list[VKey], dual: bool) -> list[dict]:
+    """One row per condition image; the dual route acts on T of each
+    column, so both routes solve for the same unknowns."""
     fn = dual_lambda_action if dual else lambda_action
     rows: dict[tuple, dict[int, ExactScalar]] = {}
     for ci, vk in enumerate(cols):
-        unit = {vk: ONE}
+        unit = transform_T({vk: ONE}) if dual else {vk: ONE}
         lam = {imask: fn(imask, unit, wt) for imask in ALL_MASKS}
         for cond, vec in _conditions(lam).items():
             for out_vk, c in vec.items():
@@ -95,15 +97,10 @@ def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
                  for lead in sorted(red.pivots))
 
 
-def _kernel(wt: Weight, cols: list[VKey], dual: bool, out_cols: list[VKey],
-            back=None) -> tuple[VVec, ...]:
-    """Assemble, reduce, and return the canonical kernel basis over
-    out_cols; back maps each kernel vector there first, if given."""
+def _kernel(wt: Weight, cols: list[VKey], dual: bool) -> list[VVec]:
+    """Assemble and reduce; a kernel basis keyed by column."""
     basis = sparse_nullspace(_assemble_rows(wt, cols, dual), len(cols))
-    kern = [{cols[i]: c for i, c in vec.items()} for vec in basis]
-    if back is not None:
-        kern = [back(v) for v in kern]
-    return _canonical(kern, out_cols)
+    return [{cols[i]: c for i, c in vec.items()} for vec in basis]
 
 
 @dataclass(frozen=True)
@@ -123,9 +120,8 @@ def solve(wt: Weight, deg: int, dual: bool = False) -> SingularReport:
     """Kernel of the singular-vector system, in plain coordinates."""
     if deg < 1:
         raise ValueError("degree must be a positive integer")
-    cols = candidate_keys(wt, deg, tside=dual)
-    canon = _kernel(wt, cols, dual, candidate_keys(wt, deg),
-                    transform_T_inverse if dual else None)
+    cols = candidate_keys(wt, deg)
+    canon = _canonical(_kernel(wt, cols, dual), cols)
     labels = tuple(match_label(wt, deg, v) for v in canon)
     return SingularReport(wt, deg, tuple(cols), canon, labels)
 
@@ -339,13 +335,14 @@ class ThetaBoundReport:
 def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
     """Solve on the full ansatz sum_{k <= nmax} Theta^k eta_L (x) v_{L,k}.
 
-    The unknowns are the coordinates of the T-image, mixing all degrees.
-    Every kernel vector must fit the reduced shape: Theta times terms
-    with |L| >= 3, plus Theta-free terms with |L| >= 1.
+    The ansatz mixes all degrees and is solved on the dual route; the
+    kernel is reported in T-image coordinates, where every vector must
+    fit the reduced shape: Theta times terms with |L| >= 3, plus
+    Theta-free terms with |L| >= 1.
     """
     cols = sorted((k, l, mon) for k in range(nmax + 1)
                   for l in ALL_MASKS for mon in wt.keys())
-    kern = _kernel(wt, cols, True, cols)
+    kern = _canonical(map(transform_T, _kernel(wt, cols, True)), cols)
     max_seen = 0
     shape_ok = True
     no_scalar = True
@@ -364,16 +361,16 @@ def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
 # ---------------------------------------------------------------------------
 
 
-def classify(wt: Weight, degrees=(1, 2, 3), cross_check: bool = True):
-    """Solve at each degree; optionally confirm the dual assembly route."""
+def classify(wt: Weight, cross_check: bool = True):
+    """Solve at degrees 1-3; optionally confirm the dual assembly route."""
     out = {}
-    for d in degrees:
+    for d in (1, 2, 3):
         rep = solve(wt, d)
         if cross_check:
             rep2 = solve(wt, d, dual=True)
             if rep.kernel != rep2.kernel:
                 raise RuntimeError(
-                    f"dual route disagrees at weight {wt.as_tuple()} "
+                    f"dual route disagrees at weight {wt} "
                     f"degree {d}")
         out[d] = rep
     return out

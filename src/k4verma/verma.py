@@ -357,15 +357,6 @@ def transform_T(v: VVec) -> VVec:
     return out
 
 
-def transform_T_inverse(v: VVec) -> VVec:
-    out: VVec = {}
-    for (k, l, mon), c in v.items():
-        lc = complement(l)
-        sign, _ = HODGE[lc]
-        out[(k, lc, mon)] = c * sign
-    return out
-
-
 # -- the recursive-commutation oracle -----------------------------------------
 
 @lru_cache(maxsize=None)

@@ -55,6 +55,9 @@ class Weight:
     def as_tuple(self):
         return (self.m, self.n, self.mu_t, self.mu_C)
 
+    def __str__(self) -> str:
+        return f"({self.m},{self.n},{self.mu_t.re},{self.mu_C.re})"
+
 
 def weight(m: int, n: int, mu_t, mu_C) -> Weight:
     return Weight(m, n, ExactScalar._coerce(mu_t), ExactScalar._coerce(mu_C))

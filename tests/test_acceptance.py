@@ -32,7 +32,7 @@ def _report(num: int, desc: str, failures: list) -> None:
 
 
 def test_criterion_01_conformal_axioms():
-    rep = cf.check_conformal_axioms(2, 2)
+    rep = cf.check_conformal_axioms(2)
     failures = [repr(f) for f in rep.failures]
     if rep.pairs_checked != 48 ** 2 or rep.triples_checked != 48 ** 3:
         failures.append(f"sweep too small: {rep.pairs_checked} pairs, "
@@ -58,8 +58,8 @@ def test_criterion_03_quotient_morphism_and_kernel():
     singles = {key: {key: ONE} for key in lie}
     quo = an.check_quotient_morphism(3)
     failures = [f"morphism defect at {a}, {b}" for a, b in quo.failures]
-    if quo.triples_checked != len(lie) ** 2:
-        failures.append(f"quotient sweep too small: {quo.triples_checked}")
+    if quo.pairs_checked != len(lie) ** 2:
+        failures.append(f"quotient sweep too small: {quo.pairs_checked}")
     if an.phi(singles[an.KERNEL_KEY]) != {}:
         failures.append("kernel generator does not map to zero")
     hit = {}
@@ -278,8 +278,9 @@ def test_criterion_10_complexes_and_duality():
     graph = mo.build_complex_graph(3)
     if not mo.duality_is_involution(graph):
         failures.append("duality does not preserve the graph")
-    paths, bad = mo.check_two_paths(graph)
-    failures += bad
+    rep = mo.check_two_paths(graph)
+    failures += rep.failures
+    paths = rep.pairs_checked
     if paths == 0:
         failures.append("no 2-paths found in the box")
     if mo.supertrace_ad({(1, 0): ONE}) != scal(2):

@@ -76,7 +76,7 @@ def test_corrupted_cocycle_detected():
 def test_phi_is_a_morphism_small():
     rep = an.check_quotient_morphism(2)
     assert rep.failures == []
-    assert rep.triples_checked == len(an.lie_basis(2)) ** 2
+    assert rep.pairs_checked == len(an.lie_basis(2)) ** 2
 
 
 def test_phi_kernel_is_the_marked_generator():

@@ -8,6 +8,7 @@ import pytest
 
 import k4verma
 from k4verma import annihilation as an
+from k4verma import conformal as cf
 from k4verma import solver as sv
 from k4verma.cli import main
 from k4verma.exact import ONE
@@ -167,13 +168,33 @@ def test_nonpositive_degree_is_a_usage_error():
 
 def test_quotient_morphism_bound_follows_max_tpow(capsys, monkeypatch):
     # the triple sweeps are stubbed: only the quotient check's bound is read
-    monkeypatch.setattr(an, "check_jacobi", lambda *a, **k: an.JacobiReport())
-    monkeypatch.setattr(an, "check_cocycle", lambda *a, **k: an.JacobiReport())
+    monkeypatch.setattr(an, "check_jacobi", lambda *a, **k: cf.AxiomReport())
+    monkeypatch.setattr(an, "check_cocycle", lambda *a, **k: cf.AxiomReport())
     code, rep = run(capsys, "axioms", "--max-tpow", "4", "--max-dpow", "0")
     assert code == 0
     quo = next(c for c in rep["checks"] if c["name"] == "quotient-morphism")
     assert quo == {"name": "quotient-morphism", "ok": True,
                    "pairs": 96 ** 2, "max_ypow": 5}
+
+
+def test_derived_closure_bound_follows_max_dpow(capsys, monkeypatch):
+    # the sweeps are stubbed: only the closure check's bound is read
+    for mod, name in ((cf, "check_conformal_axioms"), (an, "check_jacobi"),
+                      (an, "check_cocycle"), (an, "check_quotient_morphism")):
+        monkeypatch.setattr(mod, name, lambda *a, **k: cf.AxiomReport())
+    closure, bounds = cf.check_derived_closure, []
+
+    def recorded(*args):
+        bounds.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(cf, "check_derived_closure", recorded)
+    code, rep = run(capsys, "axioms", "--max-tpow", "0", "--max-dpow", "1")
+    assert code == 0 and bounds == [(1,)]
+    entry = next(c for c in rep["checks"]
+                 if c["name"] == "derived-subalgebra-closure")
+    assert entry == {"name": "derived-subalgebra-closure", "ok": True,
+                     "max_dpow": 1}
 
 
 def test_negative_bounds_are_usage_errors(tmp_path):

@@ -70,9 +70,9 @@ def test_lambda_degree_at_most_one_on_fields():
 
 
 def test_axioms_small_sweep():
-    rep = cf.check_conformal_axioms(max_dpow=1, triple_dpow=0)
+    rep = cf.check_conformal_axioms(0)
     assert rep.ok
-    assert rep.pairs_checked == 32 * 32
+    assert rep.pairs_checked == 16 * 16
     assert rep.triples_checked == 16 ** 3
 
 

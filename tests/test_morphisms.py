@@ -62,9 +62,9 @@ def test_compose_requires_a_chain():
 
 def test_all_two_paths_vanish_in_the_small_box():
     g = mo.build_complex_graph(2)
-    paths, failures = mo.check_two_paths(g)
-    assert paths == len(list(mo.two_paths(g))) > 0
-    assert failures == []
+    rep = mo.check_two_paths(g)
+    assert rep.pairs_checked == len(list(mo.two_paths(g))) > 0
+    assert rep.ok and rep.failures == []
 
 
 def test_duality_weight_formula():
@@ -117,7 +117,8 @@ def test_exports():
 def test_check_two_paths_names_each_failing_pair(monkeypatch):
     g = mo.build_complex_graph(2)
     monkeypatch.setattr(mo, "compose_is_zero", lambda phi2, phi1: False)
-    paths, failures = mo.check_two_paths(g)
-    assert failures == [(a.label, a.params, b.label, b.params)
-                        for a, b in mo.two_paths(g)]
-    assert len(failures) == paths
+    rep = mo.check_two_paths(g)
+    assert not rep.ok
+    assert rep.failures == [(a.label, a.params, b.label, b.params)
+                            for a, b in mo.two_paths(g)]
+    assert len(rep.failures) == rep.pairs_checked

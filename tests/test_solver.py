@@ -5,7 +5,7 @@ import pytest
 from k4verma import solver as sv
 from k4verma.exact import I, ONE, scal
 from k4verma.grassmann import MASK_ALL
-from k4verma.verma import act, degree, vvec, vvec_add
+from k4verma.verma import act, degree, theta_mul, vvec, vvec_add
 from k4verma.weights import weight
 
 F = Fraction
@@ -98,6 +98,37 @@ def test_classify_cross_checks_both_routes():
     by_degree = sv.classify(wt)
     assert [by_degree[d].kernel_dim for d in (1, 2, 3)] == [0, 1, 0]
     assert by_degree[2].labels == ("2d",)
+
+
+def test_both_routes_solve_over_the_same_columns():
+    for label, m, n in [("1a", 0, 0), ("1c", 1, 1), ("2b", 1, 0),
+                        ("3a", 1, 0)]:
+        wt = sv.FAMILIES[label].weight_at(m, n)
+        for d in (1, 2, 3):
+            assert sv.solve(wt, d, dual=True).columns == \
+                sv.solve(wt, d).columns, (label, d)
+
+
+def test_classify_detects_a_broken_dual_route(monkeypatch):
+    # negative control: the dual action loses its lambda^1 coefficients
+    dual = sv.dual_lambda_action
+
+    def no_lambda_one(imask, v, wt):
+        return {lp: vec for lp, vec in dual(imask, v, wt).items() if lp != 1}
+
+    monkeypatch.setattr(sv, "dual_lambda_action", no_lambda_one)
+    with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
+                                           r"\(0,0,0,0\) degree 2"):
+        sv.classify(sv.FAMILIES["1a"].weight_at(0, 0))
+
+
+def test_verify_vector_detects_a_broken_shortcut(monkeypatch):
+    # negative control: the shortcut's generators act as zero, so Theta
+    # times a singular vector passes there and fails the full sweep
+    wt, v = sv.build_theorem_vector("1a", 0, 0)
+    monkeypatch.setattr(sv, "act_elem", lambda g, v, wt: {})
+    with pytest.raises(RuntimeError, match="full sweep and shortcut disagree"):
+        sv.verify_vector(theta_mul(v), wt)
 
 
 def test_degree_two_boundary_parameter_is_empty():

@@ -145,14 +145,6 @@ def test_module_axiom_sampled():
                 assert lhs == rhs, (a, b)
 
 
-def test_transform_T_inverse_round_trips():
-    for k in (0, 1, 3):
-        for l in range(16):
-            v = vm.vvec_add(V(k, l), V(k, l, mon=(0, 1), coeff=scal(2, -1)))
-            assert vm.transform_T_inverse(vm.transform_T(v)) == v, (k, l)
-            assert vm.transform_T(vm.transform_T_inverse(v)) == v, (k, l)
-
-
 def test_template_tokens_are_degree_zero_keys():
     # every term is (lambda power, coeff, Theta power, eta mask, token), and
     # a token is None or a degree-zero key that the g0 action takes
