@@ -61,8 +61,8 @@ def _finish(args, checks: list, t0: float, extra: dict | None = None,
 
 
 def _wt_payload(wt: Weight) -> dict:
-    return {"m": wt.m, "n": wt.n, "mu_t": str(Fraction(wt.mu_t.re)),
-            "mu_C": str(Fraction(wt.mu_C.re))}
+    return {"m": wt.m, "n": wt.n, "mu_t": str(wt.mu_t.re),
+            "mu_C": str(wt.mu_C.re)}
 
 
 def _vvec_payload(v) -> list:
@@ -133,12 +133,13 @@ def cmd_axioms(args) -> int:
 
 
 def _parse_weight(text: str) -> Weight:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
+    try:
+        m, n, mu_t, mu_C = (p.strip() for p in text.split(","))
+        return weight(int(m), int(n), Fraction(mu_t), Fraction(mu_C))
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
-            "expected M,N,MT,MC (rationals as p/q)")
-    return weight(int(parts[0]), int(parts[1]),
-                  Fraction(parts[2]), Fraction(parts[3]))
+            "expected M,N,MT,MC with M, N >= 0 and rationals p/q, q != 0; "
+            f"got {text!r}") from None
 
 
 def _int_at_least(text: str, low: int, what: str) -> int:
@@ -154,6 +155,15 @@ def _positive_int(text: str) -> int:
 
 def _nonneg_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
+
+
+def _out_path(text: str) -> str:
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"the directory of {text!r} "
+                                         "does not exist")
+    return text
 
 
 def cmd_search(args) -> int:
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--max-dpow", type=_nonneg_int, default=2)
     ax.add_argument("--corrupt-cocycle", action="store_true",
                     help="negative control: perturb the 2-cocycle")
-    ax.add_argument("--out")
+    ax.add_argument("--out", type=_out_path)
     ax.set_defaults(func=cmd_axioms)
 
     se = sub.add_parser("search", help="singular vectors at one weight")
@@ -304,24 +314,25 @@ def build_parser() -> argparse.ArgumentParser:
                     help="labels m n and rationals mu_t mu_C (as p/q)")
     se.add_argument("--degree", type=_positive_int, required=True)
     se.add_argument("--dual-path", action="store_true")
-    se.add_argument("--out")
+    se.add_argument("--out", type=_out_path)
     se.set_defaults(func=cmd_search)
 
     vt = sub.add_parser("verify-theorems", help="sweep the classification")
     vt.add_argument("--max-mn", type=_nonneg_int, default=3)
     vt.add_argument("--negatives", type=_nonneg_int, default=10)
     vt.add_argument("--seed", type=int, default=20260826)
-    vt.add_argument("--out")
+    vt.add_argument("--out", type=_out_path)
     vt.set_defaults(func=cmd_verify_theorems)
 
     cx = sub.add_parser("complexes", help="morphism graph and compositions")
     cx.add_argument("--max-mn", type=_nonneg_int, default=2)
-    cx.add_argument("--out", help="JSON path (DOT lands next to it)")
+    cx.add_argument("--out", type=_out_path,
+                    help="JSON path (DOT lands next to it)")
     cx.set_defaults(func=cmd_complexes)
 
     ca = sub.add_parser("coadjoint", help="restricted-dual identification")
     ca.add_argument("--max-degree", type=_nonneg_int, default=6)
-    ca.add_argument("--out")
+    ca.add_argument("--out", type=_out_path)
     ca.set_defaults(func=cmd_coadjoint)
     return p
 

@@ -141,9 +141,6 @@ class ExactScalar:
     def __rtruediv__(self, other: object) -> "ExactScalar":
         return _coerce(other) / self
 
-    def conjugate(self) -> "ExactScalar":
-        return _mk(self._a, -self._b, self._d)
-
     def is_zero(self) -> bool:
         return not (self._a or self._b)
 
@@ -177,10 +174,6 @@ class ExactScalar:
 
     def to_json(self) -> dict:
         return {"re": str(self.re), "im": str(self.im)}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ExactScalar":
-        return cls(Fraction(d["re"]), Fraction(d["im"]))
 
 
 _coerce = ExactScalar._coerce

@@ -52,9 +52,6 @@ class Weight:
     def keys(self) -> list[MonKey]:
         return [(a, b) for a in range(self.m + 1) for b in range(self.n + 1)]
 
-    def as_tuple(self):
-        return (self.m, self.n, self.mu_t, self.mu_C)
-
     def __str__(self) -> str:
         return f"({self.m},{self.n},{self.mu_t.re},{self.mu_C.re})"
 

@@ -7,16 +7,23 @@ no tolerances.  Each test prints a single summary line
 
 (visible with pytest -s, or in the captured output of a failure) and then
 asserts, so the pytest verdict and the printed line always agree.
+
+Criteria 01-03, 10 and 11 read the entries of a CLI report made through
+`k4verma.cli.main` and assert each is ok and swept its known size.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
+import pytest
+
 from k4verma import annihilation as an
-from k4verma import coadjoint as co
 from k4verma import conformal as cf
-from k4verma import morphisms as mo
 from k4verma import solver as sv
-from k4verma.exact import ONE, scal
+from k4verma.cli import main
+from k4verma.exact import ONE, axpy, scal
 from k4verma.grassmann import MASK_ALL, mask_of
 from k4verma.verma import act, act_oracle, dual_lambda_action, theta_mul
 from k4verma.weights import act_g0, pair_mask, weight
@@ -31,51 +38,77 @@ def _report(num: int, desc: str, failures: list) -> None:
     assert ok, f"criterion {num}: first failures {failures[:5]}"
 
 
-def test_criterion_01_conformal_axioms():
-    rep = cf.check_conformal_axioms(2)
-    failures = [repr(f) for f in rep.failures]
-    if rep.pairs_checked != 48 ** 2 or rep.triples_checked != 48 ** 3:
-        failures.append(f"sweep too small: {rep.pairs_checked} pairs, "
-                        f"{rep.triples_checked} triples")
-    if not cf.check_derived_closure():
-        failures.append("derived subalgebra not closed")
+def _run_cli(*argv: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def axioms():
+    return _run_cli("axioms", "--max-tpow", "3", "--max-dpow", "2")
+
+
+def _entry_failures(report: dict, sweeps: dict) -> list:
+    """Each named entry of a report that is not ok with the known sweep
+    sizes given for it, next to what was expected."""
+    entries = {c["name"]: c for c in report["checks"]}
+    failures = []
+    for name, sweep in sweeps.items():
+        want = dict(sweep, ok=True)
+        if not want.items() <= entries[name].items():
+            failures.append(f"{entries[name]}, expected {want}")
+    return failures
+
+
+def test_criterion_01_conformal_axioms(axioms):
+    failures = _entry_failures(axioms, {
+        "conformal-axioms": {"pairs": 48 ** 2, "triples": 48 ** 3},
+        "derived-subalgebra-closure": {"max_dpow": 2}})
     _report(1, "conformal axioms exact on all basis pairs and triples, "
                "derivative powers <= 2", failures)
 
 
-def test_criterion_02_annihilation_jacobi_and_cocycle():
-    jac = an.check_jacobi(3)
-    coc = an.check_cocycle(3)
-    failures = [repr(f) for f in jac.failures + coc.failures]
-    if jac.triples_checked != 64 ** 3:
-        failures.append(f"jacobi sweep too small: {jac.triples_checked}")
+def test_criterion_02_annihilation_jacobi_and_cocycle(axioms):
+    failures = _entry_failures(axioms, {
+        "annihilation-jacobi": {"triples": 64 ** 3},
+        "cocycle-conditions": {"pairs_and_triples": 64 ** 2 + 64 ** 3},
+        "cocycle-from-splitting": {"pairs": 256}})
     _report(2, "super-Jacobi with central term on all triples, t-power <= 3; "
-               "2-cocycle conditions", failures)
+               "2-cocycle conditions, also from the splitting", failures)
 
 
-def test_criterion_03_quotient_morphism_and_kernel():
-    lie = an.lie_basis(3)
-    singles = {key: {key: ONE} for key in lie}
-    quo = an.check_quotient_morphism(3)
-    failures = [f"morphism defect at {a}, {b}" for a, b in quo.failures]
-    if quo.pairs_checked != len(lie) ** 2:
-        failures.append(f"quotient sweep too small: {quo.pairs_checked}")
-    if an.phi(singles[an.KERNEL_KEY]) != {}:
-        failures.append("kernel generator does not map to zero")
+def test_criterion_02_fails_on_a_short_jacobi_sweep(monkeypatch):
+    # negative control: the Jacobi sweep checks nothing, so its entry reads
+    # ok with 0 triples; the criterion must still fail and name the sweep
+    monkeypatch.setattr(an, "check_jacobi", lambda *a, **k: cf.AxiomReport())
+    short = _run_cli("axioms", "--max-tpow", "0", "--max-dpow", "0")
+    jac = {"name": "annihilation-jacobi", "ok": True, "triples": 0,
+           "counterexamples": []}
+    assert jac in short["checks"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(AssertionError) as exc:
+        test_criterion_02_annihilation_jacobi_and_cocycle(short)
+    assert f"{jac}, expected {{'triples': {64 ** 3}, 'ok': True}}" \
+        in str(exc.value)
+
+
+def test_criterion_03_quotient_morphism_and_kernel(axioms):
+    failures = _entry_failures(axioms, {
+        "quotient-morphism": {"pairs": 80 ** 2, "max_ypow": 4},
+        "kernel-is-central": {}})
     hit = {}
-    for key in lie:
+    for key in an.lie_basis(4):
         if key == an.KERNEL_KEY:
             continue
-        img = an.phi(singles[key])
+        img = an.phi({key: ONE})
         if len(img) != 1 or next(iter(img.values())).is_zero() \
                 or next(iter(img)) in hit:
             failures.append(f"phi not injective off the kernel line at {key}")
         else:
             hit[next(iter(img))] = key
-    for b in lie:
-        if an.lie_bracket_K4(singles[an.KERNEL_KEY], singles[b]) != {}:
-            failures.append(f"kernel generator not central against {b}")
-    _report(3, "quotient morphism on all pairs, y-power <= 3; kernel is "
+    _report(3, "quotient morphism on all pairs, y-power <= 4; kernel is "
                "exactly the central line", failures)
 
 
@@ -95,15 +128,6 @@ def _lift(k: int, lmask: int, fvec: dict) -> dict:
     return {(k, lmask, mk): c for mk, c in fvec.items()}
 
 
-def _accumulate(target: dict, vec: dict, scale=None) -> None:
-    for key, c in vec.items():
-        w = target.get(key, scal(0)) + (c if scale is None else c * scale)
-        if w.is_zero():
-            target.pop(key, None)
-        else:
-            target[key] = w
-
-
 def _worked_example_failures() -> list:
     # T(m) = Theta^2 eta_13 (x) v13 + eta_2 (x) v20, acted on by xi_2;
     # the expected lambda expansion is transcribed term by term.
@@ -115,26 +139,26 @@ def _worked_example_failures() -> list:
     m123, m134 = mask_of((1, 2, 3)), mask_of((1, 3, 4))
 
     tm = {}
-    _accumulate(tm, _lift(2, m13, v13))
-    _accumulate(tm, _lift(0, m2, v20))
+    axpy(tm, ONE, _lift(2, m13, v13).items())
+    axpy(tm, ONE, _lift(0, m2, v20).items())
     lhs = dual_lambda_action(m2, tm, wt)
 
     inner0 = _lift(1, m123, v13)
     inner1 = {}
-    _accumulate(inner1, _lift(0, m123, v13), -wt.mu_t)
-    _accumulate(inner1, _lift(0, m123, v13))
-    _accumulate(inner1, _lift(0, m134, _xi_op(2, 4, v13, wt)))
+    axpy(inner1, -wt.mu_t, _lift(0, m123, v13).items())
+    axpy(inner1, ONE, _lift(0, m123, v13).items())
+    axpy(inner1, ONE, _lift(0, m134, _xi_op(2, 4, v13, wt)).items())
     rhs: dict = {}
     for lp, vec in ((0, inner0), (1, inner1)):
-        _accumulate(rhs.setdefault(lp + 2, {}), vec, scal(-1))
-        _accumulate(rhs.setdefault(lp + 1, {}), theta_mul(vec, 1), scal(-2))
-        _accumulate(rhs.setdefault(lp, {}), theta_mul(vec, 2), scal(-1))
-    _accumulate(rhs.setdefault(0, {}), _lift(0, 0, v20))
+        axpy(rhs.setdefault(lp + 2, {}), scal(-1), vec.items())
+        axpy(rhs.setdefault(lp + 1, {}), scal(-2), theta_mul(vec, 1).items())
+        axpy(rhs.setdefault(lp, {}), scal(-1), theta_mul(vec, 2).items())
+    axpy(rhs.setdefault(0, {}), ONE, _lift(0, 0, v20).items())
     lam1 = rhs.setdefault(1, {})
-    _accumulate(lam1, _lift(0, m12, _xi_op(1, 2, v20, wt)), scal(-1))
-    _accumulate(lam1, _lift(0, m23, _xi_op(3, 2, v20, wt)))
-    _accumulate(lam1, _lift(0, m24, _xi_op(4, 2, v20, wt)))
-    _accumulate(rhs.setdefault(2, {}), _lift(0, MASK_ALL, v20), wt.mu_C)
+    axpy(lam1, scal(-1), _lift(0, m12, _xi_op(1, 2, v20, wt)).items())
+    axpy(lam1, ONE, _lift(0, m23, _xi_op(3, 2, v20, wt)).items())
+    axpy(lam1, ONE, _lift(0, m24, _xi_op(4, 2, v20, wt)).items())
+    axpy(rhs.setdefault(2, {}), wt.mu_C, _lift(0, MASK_ALL, v20).items())
 
     rhs = {lp: vec for lp, vec in rhs.items() if vec}
     if lhs != rhs:
@@ -202,7 +226,7 @@ def test_criterion_06_degree_one_classification():
         failures.append(f"expected 49 in-range instances, saw {count}")
     for wt in sv.off_list_weights(3, 30, NEGATIVE_SEED):
         if sv.solve(wt, 1).kernel_dim != 0:
-            failures.append(("off-list", wt.as_tuple()))
+            failures.append(("off-list", wt))
     _report(6, "degree-1 kernels are one-dimensional and match the tables "
                "for all (m,n) <= (3,3); 30 seeded off-list weights are "
                "empty", failures)
@@ -225,7 +249,7 @@ def test_criterion_07_degree_two_classification():
             failures.append((label, "boundary", mn))
     for wt in sv.off_list_weights(3, 30, NEGATIVE_SEED):
         if sv.solve(wt, 2).kernel_dim != 0:
-            failures.append(("off-list", wt.as_tuple()))
+            failures.append(("off-list", wt))
     _report(7, "degree-2 kernels match the four families for parameters "
                "<= 4, vanish at the boundary parameter and off the list",
             failures)
@@ -239,10 +263,10 @@ def test_criterion_08_degree_three_classification():
     for wt in sweep:
         rep = sv.solve(wt, 3)
         if rep.kernel_dim:
-            hits[wt.as_tuple()] = (rep.kernel_dim, rep.labels)
+            hits[wt] = (rep.kernel_dim, rep.labels)
     expected = {
-        weight(1, 0, F(5, 2), F(-1, 2)).as_tuple(): (1, ("3a",)),
-        weight(0, 1, F(5, 2), F(1, 2)).as_tuple(): (1, ("3b",)),
+        weight(1, 0, F(5, 2), F(-1, 2)): (1, ("3a",)),
+        weight(0, 1, F(5, 2), F(1, 2)): (1, ("3b",)),
     }
     if hits != expected:
         failures.append(f"degree-3 hits {hits}")
@@ -257,7 +281,7 @@ def test_criterion_09_no_higher_degrees():
     for wt in sweep:
         for d in (4, 5):
             if sv.solve(wt, d).kernel_dim != 0:
-                failures.append((wt.as_tuple(), d))
+                failures.append((wt, d))
     for label, mn in (("3a", (1, 0)), ("2d", (0, 4))):
         wt = sv.FAMILIES[label].weight_at(*mn)
         deep = sv.theta_degree_bound_check(wt, 5)
@@ -273,42 +297,29 @@ def test_criterion_09_no_higher_degrees():
                "and the coefficient reductions", failures)
 
 
-def test_criterion_10_complexes_and_duality():
-    failures = []
-    graph = mo.build_complex_graph(3)
-    if not mo.duality_is_involution(graph):
-        failures.append("duality does not preserve the graph")
-    rep = mo.check_two_paths(graph)
-    failures += rep.failures
-    paths = rep.pairs_checked
-    if paths == 0:
+def test_criterion_10_complexes_and_duality(tmp_path):
+    rep = _run_cli("complexes", "--max-mn", "3",
+                   "--out", str(tmp_path / "graph.json"))
+    failures = _entry_failures(rep, {
+        "duality-involution": {}, "supertrace-t": {}, "supertrace-C": {},
+        "two-path-compositions-vanish": {}})
+    paths = next(c["paths"] for c in rep["checks"]
+                 if c["name"] == "two-path-compositions-vanish")
+    if not paths:
         failures.append("no 2-paths found in the box")
-    if mo.supertrace_ad({(1, 0): ONE}) != scal(2):
-        failures.append("supertrace of ad t")
-    if not mo.supertrace_ad({an.CKEY: ONE}).is_zero():
-        failures.append("supertrace of ad C")
     _report(10, f"all {paths} directed 2-paths compose to zero in the "
                 "(m,n) <= 3 graph; duality involution and supertraces",
             failures)
 
 
 def test_criterion_11_coadjoint_identification():
-    failures = []
-    iso = co.check_phi_iso(6)
-    if iso.dims != (1, 4, 7, 8, 8, 8, 8):
-        failures.append(f"degreewise dimensions {iso.dims}")
-    if not all(iso.bijective):
-        failures.append("not bijective in some degree")
-    if not (iso.equivariant and iso.linear):
-        failures.append("map is not a module morphism")
-    if not co.iterated_action_hits_dual_basis(3):
-        failures.append("iterated action vanishes somewhere it should not")
-    if not co.raising_returns_to_theta_star(3):
-        failures.append("raising misses the cyclic functional")
-    for d in (1, 2, 3):
-        if sv.solve(co.WT_COADJOINT, d).kernel_dim != 0:
-            failures.append(f"singular vector of degree {d} at the "
-                            "coadjoint weight")
+    rep = _run_cli("coadjoint", "--max-degree", "6")
+    failures = _entry_failures(rep, {
+        "degreewise-bijective": {"dims": [1, 4, 7, 8, 8, 8, 8]},
+        "equivariance-sampled": {}, "linearity": {},
+        "iterated-action-nonzero": {"max_theta_pow": 3},
+        "raising-returns-to-theta-star": {"max_tpow": 3},
+        "module-has-no-singular-vectors": {"degrees": [1, 2, 3]}})
     _report(11, "coadjoint module identified degreewise up to degree 6; "
                 "nonvanishing checks pass; the module has no singular "
                 "vectors of degrees 1-3", failures)

@@ -91,8 +91,10 @@ def test_search_off_list_weight_is_empty(capsys):
 
 
 def test_bad_weight_string_is_rejected():
-    with pytest.raises(SystemExit):
-        main(["search", "--weight", "0,0,2", "--degree", "1"])
+    for text in ("0,0,2", "0,0,1/0,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--weight", text, "--degree", "1"])
+        assert exc.value.code == 2, text
 
 
 def test_verify_theorems_sweep(capsys):
@@ -152,18 +154,22 @@ def test_coadjoint_dimension_prefix(capsys):
     assert_golden(rep, "coadjoint")
 
 
-def test_nonpositive_degree_is_a_usage_error():
+def usage_error(cwd, *argv: str) -> str:
+    """stderr of a CLI run that must end as a usage error: exit code 2,
+    no traceback and no report."""
     src = os.path.dirname(os.path.dirname(k4verma.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "k4verma.cli", *argv],
+                          capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "", argv
+    assert "Traceback" not in proc.stderr, argv
+    return proc.stderr
+
+
+def test_nonpositive_degree_is_a_usage_error(tmp_path):
     for degree in ("0", "-3"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "k4verma.cli", "search", "--weight",
-             "0,0,2,0", "--degree", degree],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 2
-        assert "positive integer" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert "positive integer" in usage_error(
+            tmp_path, "search", "--weight", "0,0,2,0", "--degree", degree)
 
 
 def test_quotient_morphism_bound_follows_max_tpow(capsys, monkeypatch):
@@ -198,21 +204,20 @@ def test_derived_closure_bound_follows_max_dpow(capsys, monkeypatch):
 
 
 def test_negative_bounds_are_usage_errors(tmp_path):
-    src = os.path.dirname(os.path.dirname(k4verma.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    for argv in (["axioms", "--max-tpow", "-2", "--max-dpow", "0"],
-                 ["axioms", "--max-tpow", "0", "--max-dpow", "-1"],
-                 ["verify-theorems", "--max-mn", "-1", "--negatives", "0"],
-                 ["verify-theorems", "--max-mn", "0", "--negatives", "-1"],
-                 ["complexes", "--max-mn", "-1"],
-                 ["coadjoint", "--max-degree", "-1"]):
-        proc = subprocess.run([sys.executable, "-m", "k4verma.cli", *argv],
-                              capture_output=True, text=True, env=env,
-                              cwd=tmp_path, timeout=60)
-        assert proc.returncode == 2, argv
-        assert "non-negative integer" in proc.stderr, argv
-        assert "Traceback" not in proc.stderr, argv
-        assert proc.stdout == "", argv
+    out = ["--out", str(tmp_path / "missing" / "x.json")]
+    neg, gone = "non-negative integer", "does not exist"
+    for argv, message in (
+            (["axioms", "--max-tpow", "-2", "--max-dpow", "0"], neg),
+            (["axioms", "--max-tpow", "0", "--max-dpow", "-1"], neg),
+            (["verify-theorems", "--max-mn", "-1", "--negatives", "0"], neg),
+            (["verify-theorems", "--max-mn", "0", "--negatives", "-1"], neg),
+            (["complexes", "--max-mn", "-1"], neg),
+            (["coadjoint", "--max-degree", "-1"], neg),
+            (["coadjoint", "--max-degree", "0", *out], gone),
+            (["complexes", "--max-mn", "0", *out], gone),
+            (["axioms", "--max-tpow", "0", "--out", str(tmp_path)],
+             "is a directory")):
+        assert message in usage_error(tmp_path, *argv), argv
 
 
 def test_quotient_morphism_failure_names_its_pairs(capsys, monkeypatch):

@@ -2,7 +2,7 @@ import pytest
 
 from k4verma import annihilation as an
 from k4verma import coadjoint as co
-from k4verma.exact import ONE, scal
+from k4verma.exact import ONE, axpy, scal
 from k4verma.verma import vvec
 
 
@@ -31,17 +31,6 @@ def test_action_shifts_the_support_grade():
     assert {an.grade_key(k) for k in out} == {1}
 
 
-def _add(a, b, scale=ONE):
-    out = dict(a)
-    for k, c in b.items():
-        w = out.get(k, scal(0)) + c * scale
-        if w.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
-
-
 def test_module_axiom_on_samples():
     # [x, y].f == x.(y.f) - (-1)^{p(x)p(y)} y.(x.f)
     triples = [
@@ -55,12 +44,12 @@ def test_module_axiom_on_samples():
         f = dict(f)
         lhs = {}
         for k, c in an.drop_central(an.bracket(x, y)).items():
-            lhs = _add(lhs, co.coadjoint_act({k: c}, f))
+            axpy(lhs, ONE, co.coadjoint_act({k: c}, f).items())
         both_odd = (all(an.parity(k) for k in x)
                     and all(an.parity(k) for k in y))
-        rhs = _add(co.coadjoint_act(x, co.coadjoint_act(y, f)),
-                   co.coadjoint_act(y, co.coadjoint_act(x, f)),
-                   scal(1 if both_odd else -1))
+        rhs = co.coadjoint_act(x, co.coadjoint_act(y, f))
+        axpy(rhs, scal(1 if both_odd else -1),
+             co.coadjoint_act(y, co.coadjoint_act(x, f)).items())
         assert lhs == rhs, (x, y)
 
 

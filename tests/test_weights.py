@@ -4,7 +4,7 @@ import pytest
 
 from k4verma import annihilation as an
 from k4verma import weights as wt
-from k4verma.exact import ONE, ZERO, scal, sparse_nullspace
+from k4verma.exact import ONE, axpy, scal, sparse_nullspace
 from k4verma.grassmann import mask_of
 
 
@@ -58,9 +58,8 @@ def _commutator(u, v, w, vec):
 
 def _sub(a, b):
     out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, ZERO) - c
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    axpy(out, -ONE, b.items())
+    return out
 
 
 def test_sl2_relations_up_to_44():
@@ -79,9 +78,8 @@ def test_sl2_relations_up_to_44():
                                wt.apply_sl2(op2, w, wt.apply_sl2(op1, w, vec)))
                     rhs = {}
                     for op, k in out.items():
-                        for kk, c in wt.apply_sl2(op, w, vec).items():
-                            rhs[kk] = rhs.get(kk, ZERO) + c * k
-                    assert lhs == {k: c for k, c in rhs.items() if not c.is_zero()}
+                        axpy(rhs, scal(k), wt.apply_sl2(op, w, vec).items())
+                    assert lhs == rhs
 
 
 def test_g0_action_matches_algebra_bracket():
@@ -99,9 +97,7 @@ def test_g0_action_matches_algebra_bracket():
                     if u != an.CKEY and v != an.CKEY:
                         br = an.bracket({u: ONE}, {v: ONE})
                         for bk, bc in br.items():
-                            for kk, c in wt.act_g0(bk, w, vec).items():
-                                rhs[kk] = rhs.get(kk, ZERO) + c * bc
-                    rhs = {k: c for k, c in rhs.items() if not c.is_zero()}
+                            axpy(rhs, bc, wt.act_g0(bk, w, vec).items())
                     assert lhs == rhs, (u, v, key)
 
 
@@ -146,7 +142,6 @@ def test_sl2_in_xi_table_matches_the_operators():
     # sum_pair SL2_IN_XI[op][pair] xi_pair, acted through act_g0, is op itself;
     # the solver's e1 and e2 rows are e_x + e_y and e_x - e_y
     from k4verma import solver as sv
-    from k4verma.exact import axpy
 
     def combo_on(combo, w, vec):
         out = {}
