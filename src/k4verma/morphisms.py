@@ -16,7 +16,8 @@ from . import annihilation as an
 from .conformal import AxiomReport
 from .exact import ExactScalar, ONE, ZERO, axpy, scal
 from .grassmann import mask_of
-from .solver import FAMILIES, build_theorem_vector, verify_vector
+from .solver import FAMILIES, build_theorem_vector, table_weights, \
+    verify_vector
 from .verma import VVec, act_elem, umult
 from .weights import SL2_IN_XI, Weight, lowering_word, weight
 
@@ -129,23 +130,19 @@ def build_complex_graph(max_mn: int) -> ComplexGraph:
 
     Nodes are the degree-1 formula weights over the (m, n) box; the
     degree-2 and degree-3 targets coincide with boundary values of
-    those formulas, so no further nodes arise.
+    those formulas, so no further nodes arise.  Edges are the members
+    of `table_weights(max_mn)`.
     """
-    nodes = set()
-    for label in ("1a", "1b", "1c", "1d"):
-        for m in range(max_mn + 1):
-            for n in range(max_mn + 1):
-                nodes.add(FAMILIES[label].weight_at(m, n))
+    box = range(max_mn + 1)
+    nodes = {fam.weight_at(m, n) for fam in FAMILIES.values() if fam.deg == 1
+             for m in box for n in box}
     edges = []
-    for label, fam in FAMILIES.items():
-        for m in range(max_mn + 1):
-            for n in range(max_mn + 1):
-                if not fam.in_range(m, n):
-                    continue
-                tgt = fam.weight_at(m, n)
-                src = source_weight(label, m, n)
-                if src in nodes and tgt in nodes:
-                    edges.append(Edge(src, tgt, label, fam.deg, (m, n)))
+    for tgt, instances in table_weights(max_mn).items():
+        for label, m, n in instances:
+            src = source_weight(label, m, n)
+            if src in nodes and tgt in nodes:
+                edges.append(Edge(src, tgt, label, FAMILIES[label].deg,
+                                  (m, n)))
     edges.sort(key=lambda e: (e.label, e.params))
     return ComplexGraph(max_mn, tuple(sorted(nodes, key=_node_sort_key)),
                         tuple(edges))
@@ -215,7 +212,7 @@ def graph_to_json(graph: ComplexGraph) -> str:
 
 def graph_to_dot(graph: ComplexGraph) -> str:
     def nid(wt: Weight) -> str:
-        return f'"M({wt.m},{wt.n},{wt.mu_t.re},{wt.mu_C.re})"'
+        return f'"M{wt}"'
 
     lines = ["digraph complexes {"]
     for w in graph.nodes:

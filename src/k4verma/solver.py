@@ -19,6 +19,7 @@ plain columns, so their kernels must coincide.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,69 +132,68 @@ def solve(wt: Weight, deg: int, dual: bool = False) -> SingularReport:
 # ---------------------------------------------------------------------------
 
 _F = Fraction
+_ANY = float("inf")
 
 
 @dataclass(frozen=True)
 class Family:
+    """One row of the classification: degree, the inclusive (m, n) box
+    (lo_m, hi_m, lo_n, hi_n), the mu formula, and the vector's terms."""
     label: str
     deg: int
+    box: tuple
+    mu: Callable  # (m, n) -> (mu_t, mu_C)
     terms: tuple  # (sign, w-labels right-to-left nested, monomial offset)
 
     def in_range(self, m: int, n: int) -> bool:
         """Whether the family has a member at labels (m, n)."""
-        lo_m, hi_m, lo_n, hi_n = _RANGES[self.label]
+        lo_m, hi_m, lo_n, hi_n = self.box
         return lo_m <= m <= hi_m and lo_n <= n <= hi_n
 
     def weight_at(self, m: int, n: int) -> Weight:
-        return weight(m, n, *_MU[self.label](m, n))
+        return weight(m, n, *self.mu(m, n))
 
 
-_ANY = float("inf")
+# the one-parameter degree-2 families are pinned to an sl2-trivial side,
+# the degree-3 vectors to one point
+FAMILIES = {fam.label: fam for fam in (
+    Family("1a", 1, (0, _ANY, 0, _ANY),
+           lambda m, n: (_F(-(m + n), 2), _F(m - n, 2)),
+           ((1, ("11",), (0, 0)),)),
+    Family("1b", 1, (1, _ANY, 0, _ANY),
+           lambda m, n: (1 + _F(m - n, 2), -1 - _F(m + n, 2)),
+           ((1, ("21",), (0, 0)), (-1, ("11",), (-1, 0)))),
+    Family("1c", 1, (1, _ANY, 1, _ANY),
+           lambda m, n: (2 + _F(m + n, 2), _F(n - m, 2)),
+           ((1, ("22",), (0, 0)), (-1, ("12",), (-1, 0)),
+            (-1, ("21",), (0, -1)), (1, ("11",), (-1, -1)))),
+    Family("1d", 1, (0, _ANY, 1, _ANY),
+           lambda m, n: (1 + _F(n - m, 2), 1 + _F(m + n, 2)),
+           ((1, ("12",), (0, 0)), (-1, ("11",), (0, -1)))),
+    Family("2a", 2, (0, 0, 0, _ANY),
+           lambda m, n: (1 - _F(n, 2), -1 - _F(n, 2)),
+           ((1, ("11", "21"), (0, 0)),)),
+    Family("2b", 2, (0, _ANY, 0, 0),
+           lambda m, n: (1 - _F(m, 2), 1 + _F(m, 2)),
+           ((1, ("11", "12"), (0, 0)),)),
+    Family("2c", 2, (2, _ANY, 0, 0),
+           lambda m, n: (2 + _F(m, 2), -_F(m, 2)),
+           ((1, ("22", "21"), (0, 0)), (1, ("11", "22"), (-1, 0)),
+            (1, ("21", "12"), (-1, 0)), (-1, ("11", "12"), (-2, 0)))),
+    Family("2d", 2, (0, 0, 2, _ANY),
+           lambda m, n: (2 + _F(n, 2), _F(n, 2)),
+           ((1, ("22", "12"), (0, 0)), (-1, ("22", "11"), (0, -1)),
+            (-1, ("21", "12"), (0, -1)), (-1, ("11", "21"), (0, -2)))),
+    Family("3a", 3, (1, 1, 0, 0),
+           lambda m, n: (_F(5, 2), _F(-1, 2)),
+           ((1, ("11", "22", "21"), (0, 0)),
+            (1, ("21", "12", "11"), (-1, 0)))),
+    Family("3b", 3, (0, 0, 1, 1),
+           lambda m, n: (_F(5, 2), _F(1, 2)),
+           ((1, ("11", "22", "12"), (0, 0)),
+            (1, ("12", "21", "11"), (0, -1)))),
+)}
 
-_RANGES = {
-    # inclusive m range, then n range; the one-parameter degree-2 families
-    # are pinned to an sl2-trivial side, the degree-3 vectors to one point
-    "1a": (0, _ANY, 0, _ANY), "1b": (1, _ANY, 0, _ANY),
-    "1c": (1, _ANY, 1, _ANY), "1d": (0, _ANY, 1, _ANY),
-    "2a": (0, 0, 0, _ANY), "2b": (0, _ANY, 0, 0),
-    "2c": (2, _ANY, 0, 0), "2d": (0, 0, 2, _ANY),
-    "3a": (1, 1, 0, 0), "3b": (0, 0, 1, 1),
-}
-
-_MU = {
-    "1a": lambda m, n: (_F(-(m + n), 2), _F(m - n, 2)),
-    "1b": lambda m, n: (1 + _F(m - n, 2), -1 - _F(m + n, 2)),
-    "1c": lambda m, n: (2 + _F(m + n, 2), _F(n - m, 2)),
-    "1d": lambda m, n: (1 + _F(n - m, 2), 1 + _F(m + n, 2)),
-    "2a": lambda m, n: (1 - _F(n, 2), -1 - _F(n, 2)),
-    "2b": lambda m, n: (1 - _F(m, 2), 1 + _F(m, 2)),
-    "2c": lambda m, n: (2 + _F(m, 2), -_F(m, 2)),
-    "2d": lambda m, n: (2 + _F(n, 2), _F(n, 2)),
-    "3a": lambda m, n: (_F(5, 2), _F(-1, 2)),
-    "3b": lambda m, n: (_F(5, 2), _F(1, 2)),
-}
-
-FAMILIES = {
-    "1a": Family("1a", 1, ((1, ("11",), (0, 0)),)),
-    "1b": Family("1b", 1, ((1, ("21",), (0, 0)), (-1, ("11",), (-1, 0)))),
-    "1c": Family("1c", 1, ((1, ("22",), (0, 0)), (-1, ("12",), (-1, 0)),
-                           (-1, ("21",), (0, -1)), (1, ("11",), (-1, -1)))),
-    "1d": Family("1d", 1, ((1, ("12",), (0, 0)), (-1, ("11",), (0, -1)))),
-    "2a": Family("2a", 2, ((1, ("11", "21"), (0, 0)),)),
-    "2b": Family("2b", 2, ((1, ("11", "12"), (0, 0)),)),
-    "2c": Family("2c", 2, ((1, ("22", "21"), (0, 0)),
-                           (1, ("11", "22"), (-1, 0)),
-                           (1, ("21", "12"), (-1, 0)),
-                           (-1, ("11", "12"), (-2, 0)))),
-    "2d": Family("2d", 2, ((1, ("22", "12"), (0, 0)),
-                           (-1, ("22", "11"), (0, -1)),
-                           (-1, ("21", "12"), (0, -1)),
-                           (-1, ("11", "21"), (0, -2)))),
-    "3a": Family("3a", 3, ((1, ("11", "22", "21"), (0, 0)),
-                           (1, ("21", "12", "11"), (-1, 0)))),
-    "3b": Family("3b", 3, ((1, ("11", "22", "12"), (0, 0)),
-                           (1, ("12", "21", "11"), (0, -1)))),
-}
 
 def build_theorem_vector(label: str, m: int, n: int) -> tuple[Weight, VVec]:
     """The classified singular vector of a family at parameters (m, n)."""
@@ -213,19 +213,14 @@ def build_theorem_vector(label: str, m: int, n: int) -> tuple[Weight, VVec]:
 
 
 def expected_labels(wt: Weight, deg: int) -> list[str]:
-    hits = []
-    for label, fam in FAMILIES.items():
-        if fam.deg != deg or not fam.in_range(wt.m, wt.n):
-            continue
-        if fam.weight_at(wt.m, wt.n) == wt:
-            hits.append(label)
-    return hits
+    return [label for label, fam in FAMILIES.items() if fam.deg == deg
+            and fam.in_range(wt.m, wt.n) and fam.weight_at(wt.m, wt.n) == wt]
 
 
 def table_weights(max_mn: int) -> dict[Weight, list[tuple[str, int, int]]]:
     """Each weight carrying a family member with m, n <= max_mn, mapped
-    to its (label, m, n) instances: the table sweep of `verify-theorems`
-    and the acceptance gate."""
+    to its (label, m, n) instances: the table sweep of `verify-theorems`,
+    of the complexes' edges and of the acceptance gate."""
     out: dict = {}
     for label, fam in FAMILIES.items():
         for m in range(max_mn + 1):
@@ -361,16 +356,13 @@ def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
 # ---------------------------------------------------------------------------
 
 
-def classify(wt: Weight, cross_check: bool = True):
-    """Solve at degrees 1-3; optionally confirm the dual assembly route."""
+def classify(wt: Weight):
+    """Solve at degrees 1-3 and confirm each kernel on the dual route."""
     out = {}
     for d in (1, 2, 3):
         rep = solve(wt, d)
-        if cross_check:
-            rep2 = solve(wt, d, dual=True)
-            if rep.kernel != rep2.kernel:
-                raise RuntimeError(
-                    f"dual route disagrees at weight {wt} "
-                    f"degree {d}")
+        if rep.kernel != solve(wt, d, dual=True).kernel:
+            raise RuntimeError(f"dual route disagrees at weight {wt} "
+                               f"degree {d}")
         out[d] = rep
     return out

@@ -98,18 +98,28 @@ def test_criterion_03_quotient_morphism_and_kernel(axioms):
     failures = _entry_failures(axioms, {
         "quotient-morphism": {"pairs": 80 ** 2, "max_ypow": 4},
         "kernel-is-central": {}})
-    hit = {}
-    for key in an.lie_basis(4):
-        if key == an.KERNEL_KEY:
-            continue
-        img = an.phi({key: ONE})
-        if len(img) != 1 or next(iter(img.values())).is_zero() \
-                or next(iter(img)) in hit:
-            failures.append(f"phi not injective off the kernel line at {key}")
-        else:
-            hit[next(iter(img))] = key
     _report(3, "quotient morphism on all pairs, y-power <= 4; kernel is "
                "exactly the central line", failures)
+
+
+def test_criterion_03_fails_when_phi_merges_two_keys(monkeypatch):
+    # negative control: phi sends xi_2 where it sends xi_1, so phi is not
+    # injective off the kernel line; the entry must fail naming both keys,
+    # and the criterion must fail on that entry
+    phi, xi1, xi2 = an.phi, (0, 1, 0), (0, 2, 0)
+
+    def merged(a):
+        return phi({xi1: ONE} if a == {xi2: ONE} else a)
+
+    monkeypatch.setattr(an, "phi", merged)
+    short = _run_cli("axioms", "--max-tpow", "0", "--max-dpow", "0")
+    entry = {"name": "kernel-is-central", "ok": False,
+             "counterexamples": [repr(xi1), repr(xi2)]}
+    assert entry in short["checks"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(AssertionError) as exc:
+        test_criterion_03_quotient_morphism_and_kernel(short)
+    assert f"{entry}, expected {{'ok': True}}" in str(exc.value)
 
 
 _SAMPLED_MU = [
@@ -209,19 +219,15 @@ def test_criterion_05_high_t_powers_annihilate():
 def test_criterion_06_degree_one_classification():
     failures = []
     count = 0
-    for label in ("1a", "1b", "1c", "1d"):
-        fam = sv.FAMILIES[label]
-        for m in range(4):
-            for n in range(4):
-                if not fam.in_range(m, n):
-                    continue
-                count += 1
-                wt = fam.weight_at(m, n)
-                rep = sv.solve(wt, 1)
-                expect = sorted(sv.expected_labels(wt, 1))
-                if rep.kernel_dim != len(expect) \
-                        or sorted(rep.labels) != expect:
-                    failures.append((label, m, n, rep.kernel_dim, rep.labels))
+    for wt, instances in sv.table_weights(3).items():
+        ones = [i for i in instances if sv.FAMILIES[i[0]].deg == 1]
+        if not ones:
+            continue
+        count += len(ones)
+        rep = sv.solve(wt, 1)
+        expect = sorted(sv.expected_labels(wt, 1))
+        if rep.kernel_dim != len(expect) or sorted(rep.labels) != expect:
+            failures.append((ones, rep.kernel_dim, rep.labels))
     if count != 49:
         failures.append(f"expected 49 in-range instances, saw {count}")
     for wt in sv.off_list_weights(3, 30, NEGATIVE_SEED):
@@ -315,10 +321,13 @@ def test_criterion_10_complexes_and_duality(tmp_path):
 def test_criterion_11_coadjoint_identification():
     rep = _run_cli("coadjoint", "--max-degree", "6")
     failures = _entry_failures(rep, {
-        "degreewise-bijective": {"dims": [1, 4, 7, 8, 8, 8, 8]},
-        "equivariance-sampled": {}, "linearity": {},
+        "degreewise-bijective": {"dims": [1, 4, 7, 8, 8, 8, 8],
+                                 "max_degree": 6},
+        "equivariance-sampled": {"max_degree": 4},
+        "linearity": {"max_degree": 4},
         "iterated-action-nonzero": {"max_theta_pow": 3},
         "raising-returns-to-theta-star": {"max_tpow": 3},
+        "t-scales-theta-star": {},
         "module-has-no-singular-vectors": {"degrees": [1, 2, 3]}})
     _report(11, "coadjoint module identified degreewise up to degree 6; "
                 "nonvanishing checks pass; the module has no singular "

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -129,6 +130,35 @@ def test_verify_theorems_names_its_witness(capsys, monkeypatch):
     assert first["failing_vectors"][0]["generators"]
     for c in rep["checks"]:
         assert not c["ok"] and c["wrong_degrees"] and c["failing_vectors"]
+
+
+@pytest.mark.parametrize("label, field, corrupt, witnesses", [
+    ("1b", "mu",
+     lambda fam: lambda m, n: (fam.mu(m, n)[0] + 1, fam.mu(m, n)[1]),
+     {"weight (1,0,5/2,-3/2)": (1, "1b(1,0)"),
+      "weight (1,1,2,-2)": (1, "1b(1,1)")}),
+    ("1c", "terms",
+     lambda fam: ((-fam.terms[0][0], *fam.terms[0][1:]), *fam.terms[1:]),
+     {"weight (1,1,3,0)": (1, "1c(1,1)")}),
+    ("2b", "box", lambda fam: fam.box[:3] + (1,),
+     {"weight (0,1,1,1)": (2, "2b(0,1)"),
+      "weight (1,1,1/2,3/2)": (2, "2b(1,1)")}),
+], ids=["1b-mu", "1c-terms", "2b-box"])
+def test_verify_theorems_catches_a_corrupted_family(
+        capsys, monkeypatch, label, field, corrupt, witnesses):
+    # negative control, one per field of a family record: each corrupted
+    # member must fail at its weight, naming the degree and the instance
+    fam = sv.FAMILIES[label]
+    monkeypatch.setitem(sv.FAMILIES, label,
+                        dataclasses.replace(fam, **{field: corrupt(fam)}))
+    code, rep = run(capsys, "verify-theorems", "--max-mn", "1",
+                    "--negatives", "0")
+    assert code == 1
+    failed = {c["name"]: ([w["degree"] for w in c["wrong_degrees"]],
+                          [f["instance"] for f in c["failing_vectors"]])
+              for c in rep["checks"] if not c["ok"]}
+    assert failed == {name: ([d], [inst])
+                      for name, (d, inst) in witnesses.items()}
 
 
 def test_complexes_writes_graph_files(capsys, tmp_path):

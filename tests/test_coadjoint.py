@@ -13,11 +13,6 @@ def test_theta_star_pairs_to_one_against_theta():
     assert (co.THETA_STAR[(0, 0)] * coeff_of_xi_empty_in_theta) == ONE
 
 
-def test_t_scales_theta_star_by_two():
-    got = co.coadjoint_act({(1, 0): ONE}, dict(co.THETA_STAR))
-    assert got == {(0, 0): scal(-4)}
-
-
 def test_theta_lowers_to_the_next_dual_line():
     got = co.coadjoint_act(dict(an.THETA), dict(co.THETA_STAR))
     assert set(got) == {(1, 0)} and not got[(1, 0)].is_zero()
@@ -53,25 +48,9 @@ def test_module_axiom_on_samples():
         assert lhs == rhs, (x, y)
 
 
-def test_phi_is_bijective_degreewise():
-    rep = co.check_phi_iso(6)
-    assert rep.dims == (1, 4, 7, 8, 8, 8, 8)
-    assert all(rep.bijective)
-    assert rep.equivariant and rep.linear and rep.ok
-    assert rep.sample_degree == 4
-
-
 def test_phi_rejects_nontrivial_sl2_monomials():
     with pytest.raises(ValueError):
         co.phi_image(vvec(0, (1,), (1, 0)))
-
-
-def test_iterated_action_spans_every_dual_line():
-    assert co.iterated_action_hits_dual_basis(3)
-
-
-def test_raising_comes_back_to_theta_star():
-    assert co.raising_returns_to_theta_star(3)
 
 
 def test_phi_is_bijective_past_degree_sixteen():

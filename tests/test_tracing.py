@@ -1,6 +1,9 @@
-"""The benchmark tracer (perfbench/tracing.py) wraps engine names by
-module attribute; this checks that every name it wraps still resolves
-and that a traced solve runs through the wrapped layers."""
+"""The benchmark (perfbench/) reaches into the engine by name: the tracer
+wraps engine names by module attribute, and the workloads call engine
+functions and read the family records.  These tests check that every
+name the tracer wraps still resolves, that a traced solve runs through
+the wrapped layers, and that each workload still builds its round and
+its negative control."""
 
 import importlib.util
 from pathlib import Path
@@ -10,7 +13,15 @@ from k4verma import annihilation, coadjoint, conformal, morphisms, solver, \
 
 MODULES = (solver, verma, weights, morphisms, coadjoint, annihilation,
            conformal)
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_tracer_installs(monkeypatch):
@@ -18,9 +29,7 @@ def test_bench_tracer_installs(monkeypatch):
     for m in MODULES:
         for name, value in list(vars(m).items()):
             monkeypatch.setattr(m, name, value)
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     tr = tracing.Tracer()
     try:
         tracing.install(tr)
@@ -38,3 +47,12 @@ def test_bench_tracer_installs(monkeypatch):
             "solver.canonical", "solver.label", "verma.action",
             "weights.act_g0"} <= spans
     assert tr.counts["solver.solves"] == 1
+
+
+def test_bench_workloads_build_and_their_controls_fail():
+    wl = _load("workloads")
+    for name, workload in wl.WORKLOADS.items():
+        assert workload.round_ops(wl.Inputs(7, "round"), wl.NullTracer()), \
+            name
+        control = workload.control(wl.Inputs(7, "control"), wl.NullTracer())
+        assert control.run(), name
