@@ -10,18 +10,25 @@ the field action:
   * e1 and e2 annihilate the candidate.
 
 Each (weight, degree) pair gives one exact linear system whose kernel
-is the space of singular vectors.  A second assembly route applies the
-odd reflection T to each candidate column and imposes the same
-conditions through the dual-form action; both routes solve over the same
-plain columns, so their kernels must coincide.
+is the space of singular vectors.  The last condition carries no mu, so
+every kernel lies in the span of the g0-highest-weight (hw) vectors of
+its slice; a basis of that span is cached once per shape (m, n, d).
+The primal route solves on that basis: it imposes the two shortcut
+generators, which with e1 and e2 generate the positive part, and then
+passes each vector of that small kernel through the full conditions.
+The dual route is the unreduced referee: it applies the odd reflection T
+to each plain column and imposes every condition through the dual-form
+action.  Both routes report in the plain columns, so their kernels must
+coincide.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
                     sparse_nullspace)
@@ -31,15 +38,25 @@ from .verma import LambdaVal, VKey, VVec, act_elem, degree, \
 from .weights import SL2_IN_XI, Weight, weight
 
 
-def _e_row(sign: int) -> tuple:
-    """e_x + sign e_y in the xi_ij basis, as (coefficient, pair mask)."""
+def _e_row(sign: int) -> dict:
+    """e_x + sign e_y in the xi_ij basis, as {(0, pair mask): c}."""
     ex, ey = SL2_IN_XI["e_x"], SL2_IN_XI["e_y"]
     row = {p: ex.get(p, ZERO) + ey.get(p, ZERO) * sign for p in {**ex, **ey}}
-    return tuple((c, mask_of(p)) for p, c in row.items() if c)
+    return {(0, mask_of(p)): c for p, c in row.items() if c}
 
 
-# e1 = e_x + e_y and e2 = e_x - e_y, as lambda^0 combos of the xi_ij
+# tables of (tag, algebra element {(t power, mask): c}):
+# e1 = e_x + e_y and e2 = e_x - e_y, combinations of the xi_ij
 _E_ROWS = (("e1", _e_row(1)), ("e2", _e_row(-1)))
+
+# (xi_1 + i xi_2) xi_3 xi_4 and t(xi_1 + i xi_2): each is a combination of
+# conditions that _keep admits, and with e1 and e2 they generate the
+# positive part
+_SHORTCUT = (
+    ("(xi_1+i xi_2)xi_3 xi_4", {(0, mask_of((1, 3, 4))): ONE,
+                                (0, mask_of((2, 3, 4))): I}),
+    ("t(xi_1+i xi_2)", {(1, mask_of((1,))): ONE, (1, mask_of((2,))): I}),
+)
 
 
 def _keep(lp: int, isz: int) -> bool:
@@ -51,10 +68,19 @@ def _conditions(lam: dict[int, LambdaVal]) -> dict:
     the (imask, lp) pairs that _keep admits, then "e1" and "e2"."""
     out: dict = {(imask, lp): vec for imask, by_power in lam.items()
                  for lp, vec in by_power.items() if _keep(lp, size(imask))}
-    for tag, combo in _E_ROWS:
+    out.update(_images(_E_ROWS, lam))
+    return out
+
+
+def _images(table, lam: dict[int, LambdaVal]) -> dict:
+    """Images of a table's elements, from the lambda actions lam[mask]:
+    t^j xi_I acts as j! times the lambda^j coefficient of xi_I."""
+    out: dict = {}
+    for tag, g in table:
         img: VVec = {}
-        for sc, pmask in combo:
-            axpy(img, sc, lam[pmask].get(0, {}).items())
+        for (j, imask), c in g.items():
+            f = factorial(j)
+            axpy(img, c * f if f != 1 else c, lam[imask].get(j, {}).items())
         out[tag] = img
     return out
 
@@ -74,18 +100,54 @@ def candidate_keys(wt: Weight, deg: int) -> list[VKey]:
     return sorted(out)
 
 
-def _assemble_rows(wt: Weight, cols: list[VKey], dual: bool) -> list[dict]:
-    """One row per condition image; the dual route acts on T of each
-    column, so both routes solve for the same unknowns."""
-    fn = dual_lambda_action if dual else lambda_action
+def _rows(images) -> list[dict]:
+    """One row per (condition, output key), from each column's condition
+    images in column order."""
     rows: dict[tuple, dict[int, ExactScalar]] = {}
-    for ci, vk in enumerate(cols):
-        unit = transform_T({vk: ONE}) if dual else {vk: ONE}
-        lam = {imask: fn(imask, unit, wt) for imask in ALL_MASKS}
-        for cond, vec in _conditions(lam).items():
+    for ci, conds in enumerate(images):
+        for cond, vec in conds.items():
             for out_vk, c in vec.items():
                 rows.setdefault((cond, out_vk), {})[ci] = c
     return list(rows.values())
+
+
+def _table_rows(table, wt: Weight, cols: Sequence[VVec]) -> list[dict]:
+    """Rows of the images of a table's elements on each column vector."""
+    masks = {imask for _, g in table for _, imask in g}
+    return _rows(_images(table, {imask: lambda_action(imask, col, wt)
+                                 for imask in masks}) for col in cols)
+
+
+_HW_BASES: dict[tuple[int, int, int], tuple[VVec, ...]] = {}
+
+
+def _hw_basis(m: int, n: int, d: int) -> tuple[VVec, ...]:
+    """A basis of the e1/e2 kernel on candidate_keys at degree d over
+    F(m, n), filled on first use.  The lambda^0 terms of the pair-mask
+    templates carry no t or C token, so one basis, computed at mu = 0,
+    serves every mu."""
+    shape = (m, n, d)
+    if shape not in _HW_BASES:
+        wt = weight(m, n, 0, 0)
+        cols = candidate_keys(wt, d)
+        red = RowReducer(len(cols))
+        for row in _table_rows(_E_ROWS, wt, [{vk: ONE} for vk in cols]):
+            red.add_row(row)
+        _HW_BASES[shape] = tuple({cols[i]: c for i, c in vec.items()}
+                                 for vec in red.nullspace())
+    return _HW_BASES[shape]
+
+
+def _assemble_rows(wt: Weight, cols: Sequence[VVec], dual: bool) -> list[dict]:
+    """One row per condition image of each column vector.  The dual route
+    acts on T of each column and imposes every condition; the primal
+    route takes hw vectors, which e1 and e2 already kill, and imposes the
+    shortcut generators."""
+    if dual:
+        return _rows(_conditions({imask: dual_lambda_action(imask, tcol, wt)
+                                  for imask in ALL_MASKS})
+                     for tcol in map(transform_T, cols))
+    return _table_rows(_SHORTCUT, wt, cols)
 
 
 def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
@@ -98,10 +160,16 @@ def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
                  for lead in sorted(red.pivots))
 
 
-def _kernel(wt: Weight, cols: list[VKey], dual: bool) -> list[VVec]:
-    """Assemble and reduce; a kernel basis keyed by column."""
-    basis = sparse_nullspace(_assemble_rows(wt, cols, dual), len(cols))
-    return [{cols[i]: c for i, c in vec.items()} for vec in basis]
+def _kernel(wt: Weight, cols: Sequence[VVec], dual: bool) -> list[VVec]:
+    """Assemble and reduce; a kernel basis as combinations of the column
+    vectors."""
+    out = []
+    for vec in sparse_nullspace(_assemble_rows(wt, cols, dual), len(cols)):
+        v: VVec = {}
+        for i, c in vec.items():
+            axpy(v, c, cols[i].items())
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,11 +186,21 @@ class SingularReport:
 
 
 def solve(wt: Weight, deg: int, dual: bool = False) -> SingularReport:
-    """Kernel of the singular-vector system, in plain coordinates."""
+    """Kernel of the singular-vector system, in plain coordinates: on the
+    hw basis, each vector checked against the full conditions, or on the
+    dual route over every plain column."""
     if deg < 1:
         raise ValueError("degree must be a positive integer")
     cols = candidate_keys(wt, deg)
-    canon = _canonical(_kernel(wt, cols, dual), cols)
+    if dual:
+        kern = _kernel(wt, [{vk: ONE} for vk in cols], True)
+    else:
+        kern = _kernel(wt, _hw_basis(wt.m, wt.n, deg), False)
+        for v in kern:
+            if not verify_vector(v, wt).ok:
+                raise RuntimeError(f"a shortcut kernel vector fails the full "
+                                   f"conditions at weight {wt} degree {deg}")
+    canon = _canonical(kern, cols)
     labels = tuple(match_label(wt, deg, v) for v in canon)
     return SingularReport(wt, deg, tuple(cols), canon, labels)
 
@@ -299,16 +377,12 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
     failures = [cond if isinstance(cond, str) else _gen_name(*cond)
                 for cond, img in _conditions(lam).items() if img]
 
-    short = [tag for tag, g in (
-        *((tag, {(0, pm): sc for sc, pm in combo}) for tag, combo in _E_ROWS),
-        ("t(xi_1+i xi_2)", {(1, mask_of((1,))): ONE, (1, mask_of((2,))): I}),
-        ("(xi_1+i xi_2)xi_3 xi_4", {(0, mask_of((1, 3, 4))): ONE,
-                                    (0, mask_of((2, 3, 4))): I}),
-    ) if act_elem(g, v, wt)]
+    short = [tag for tag, g in (*_E_ROWS, *_SHORTCUT) if act_elem(g, v, wt)]
 
     ok, ok_short = not failures, not short
     if ok != ok_short:
-        raise RuntimeError("full sweep and shortcut disagree on " + repr(v))
+        raise RuntimeError(f"full sweep and shortcut disagree at weight {wt} "
+                           f"degree {d} on {v!r}")
     return VerifyReport(ok, d, tuple(sorted(set(failures))), tuple(short))
 
 
@@ -337,7 +411,8 @@ def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
     """
     cols = sorted((k, l, mon) for k in range(nmax + 1)
                   for l in ALL_MASKS for mon in wt.keys())
-    kern = _canonical(map(transform_T, _kernel(wt, cols, True)), cols)
+    kern = _canonical(map(transform_T, _kernel(wt, [{vk: ONE} for vk in cols],
+                                               True)), cols)
     max_seen = 0
     shape_ok = True
     no_scalar = True

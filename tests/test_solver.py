@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from k4verma import solver as sv
+from k4verma.annihilation import CKEY
 from k4verma.exact import I, ONE, scal
-from k4verma.grassmann import MASK_ALL
-from k4verma.verma import act, degree, theta_mul, vvec, vvec_add
+from k4verma.grassmann import ALL_MASKS, MASK_ALL, size
+from k4verma.verma import _primal_template, act, degree, theta_mul, vvec, \
+    vvec_add
 from k4verma.weights import weight
 
 F = Fraction
@@ -120,6 +122,70 @@ def test_classify_detects_a_broken_dual_route(monkeypatch):
     with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
                                            r"\(0,0,0,0\) degree 2"):
         sv.classify(sv.FAMILIES["1a"].weight_at(0, 0))
+
+
+def test_hw_route_matches_the_unreduced_dual_route():
+    # every shape of the gate at a mu that no sweep uses (thirds and
+    # fifths), then one member of each family at its degree
+    for m in range(4):
+        for n in range(4):
+            wt = weight(m, n, F(7, 3), F(-4, 5))
+            for d in range(1, 6):
+                assert sv.solve(wt, d).kernel == \
+                    sv.solve(wt, d, dual=True).kernel, (wt, d)
+    for label, fam in sv.FAMILIES.items():
+        wt = fam.weight_at(fam.box[0], fam.box[2])
+        rep = sv.solve(wt, fam.deg)
+        assert rep.labels == (label,)
+        assert rep.kernel == sv.solve(wt, fam.deg, dual=True).kernel, label
+
+
+def test_hw_basis_is_mu_free_and_sized_per_shape():
+    # the basis is cached per (m, n, d) because no lambda^0 term of a
+    # pair-mask template carries a t or C token, at any Theta power and
+    # eta mask that degrees up to 5 reach
+    pmasks = {pm for _, g in sv._E_ROWS for _, pm in g}
+    assert len(pmasks) == 4
+    for pm in pmasks:
+        for k in range(3):
+            for l in ALL_MASKS:
+                if 2 * k + size(l) > 5:
+                    continue
+                for lp, _, _, _, tok in _primal_template(pm, k, l):
+                    assert lp or tok not in ((1, 0), CKEY), (pm, k, l)
+    for m, n in [(2, 2), (3, 3), (4, 4), (5, 2)]:
+        assert [len(sv._hw_basis(m, n, d)) for d in range(1, 6)] == \
+            [4, 7, 8, 8, 8], (m, n)
+
+
+def test_shortcut_kernel_is_checked_against_every_condition(monkeypatch):
+    # negative control: without t(xi_1 + i xi_2) the shortcut kernel at
+    # (0,0,0,0) degree 2 holds Theta (x) v, which the full sweep rejects
+    monkeypatch.setattr(sv, "_SHORTCUT", sv._SHORTCUT[:1])
+    with pytest.raises(RuntimeError,
+                       match=r"weight \(0,0,0,0\) degree 2"):
+        sv.solve(weight(0, 0, 0, 0), 2)
+    # with no rows the whole hw span comes back, and a vector that fails
+    # the shortcut and the full sweep alike is caught too
+    monkeypatch.setattr(sv, "_assemble_rows", lambda wt, cols, dual: [])
+    with pytest.raises(RuntimeError,
+                       match=r"weight \(1,1,0,0\) degree 3"):
+        sv.solve(weight(1, 1, 0, 0), 3)
+
+
+def test_classify_detects_a_short_hw_basis(monkeypatch):
+    # negative control: the cached basis loses a vector that the 2c
+    # member at (2, 0) needs, so the primal route misses it
+    wt, v = sv.build_theorem_vector("2c", 2, 0)
+    shape = (2, 0, 2)
+    basis = sv._hw_basis(*shape)
+    cols = sv.candidate_keys(wt, 2)
+    drops = [basis[:i] + basis[i + 1:] for i in range(len(basis))]
+    rest = next(r for r in drops if len(sv._canonical([*r, v], cols)) > len(r))
+    monkeypatch.setitem(sv._HW_BASES, shape, rest)
+    with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
+                                           r"\(2,0,3,-1\) degree 2"):
+        sv.classify(wt)
 
 
 def test_verify_vector_detects_a_broken_shortcut(monkeypatch):

@@ -158,7 +158,8 @@ def test_sl2_in_xi_table_matches_the_operators():
                     combo = [(c, mask_of(pair))
                              for pair, c in wt.SL2_IN_XI[op].items()]
                     assert combo_on(combo, w, vec) == wt.apply_sl2(op, w, vec)
-                for (tag, combo), e in zip(sv._E_ROWS, (wt.e1, wt.e2)):
+                for (tag, g), e in zip(sv._E_ROWS, (wt.e1, wt.e2)):
+                    combo = [(c, pmask) for (_, pmask), c in g.items()]
                     assert combo_on(combo, w, vec) == e(w, vec), tag
 
 
