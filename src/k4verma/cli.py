@@ -194,6 +194,16 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _wrong_degree(rep: sv.SingularReport) -> dict | None:
+    """The witness of a solve whose kernel is not the classified one."""
+    expect = sorted(sv.expected_labels(rep.weight, rep.deg))
+    got = sorted(l for l in rep.labels if l)
+    if rep.kernel_dim == len(expect) and got == expect:
+        return None
+    return {"degree": rep.deg, "kernel_dim": rep.kernel_dim,
+            "expected": expect, "labels": list(rep.labels)}
+
+
 def cmd_verify_theorems(args) -> int:
     t0 = time.time()
     table = sv.table_weights(args.max_mn)
@@ -203,13 +213,9 @@ def cmd_verify_theorems(args) -> int:
         results = sv.classify(wt)
         witness: dict = {}
         for d in (1, 2, 3):
-            rep = results[d]
-            expect = sorted(sv.expected_labels(wt, d))
-            got = sorted(l for l in rep.labels if l)
-            if rep.kernel_dim != len(expect) or got != expect:
-                witness.setdefault("wrong_degrees", []).append(
-                    {"degree": d, "kernel_dim": rep.kernel_dim,
-                     "expected": expect, "labels": list(rep.labels)})
+            wrong = _wrong_degree(results[d])
+            if wrong:
+                witness.setdefault("wrong_degrees", []).append(wrong)
         for lab, m, n in instances:
             ver = sv.verify_vector(sv.build_theorem_vector(lab, m, n)[1], wt)
             if not ver.ok:
@@ -222,6 +228,17 @@ def cmd_verify_theorems(args) -> int:
 
     checks = [job(item) for item in sorted(
         table.items(), key=lambda kv: mo._node_sort_key(kv[0]))]
+
+    def edge_job(label, wt):
+        d = sv.FAMILIES[label].deg
+        rep = sv.solve(wt, d)
+        wrong = _wrong_degree(rep)
+        return _check(f"box-edge {label} {wt}", not wrong, degree=d,
+                      kernel_dim=rep.kernel_dim,
+                      **({"wrong_degrees": [wrong]} if wrong else {}))
+
+    checks += [edge_job(label, wt)
+               for label, wt in sv.box_edge_weights(args.max_mn)]
 
     def neg_job(wt):
         empty = all(sv.solve(wt, d).kernel_dim == 0 for d in (1, 2, 3))

@@ -3,7 +3,8 @@
 A functional is stored on the dual basis (t^m xi_I)*, so it is finitely
 supported by construction.  The action is (x.f)(y) = -(-1)^{p(x)p(f)}
 f([x, y]); pairing against every basis element of the one affected
-grade keeps each step finite.
+grade keeps each step finite.  `_pairing` lists, once per pair of basis
+keys (x, f), the keys y with f in [x, y] and that coefficient.
 
 The generator goes to Theta* = -2 (xi_empty)*, and multiplying through
 the negative part reaches every dual basis vector, which is why the
@@ -13,9 +14,10 @@ module with mu_t = 2 and trivial sl2 labels is irreducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import annihilation as an
-from .exact import ExactScalar, ONE, RowReducer, acc, axpy, scal
+from .exact import ExactScalar, ONE, RowReducer, axpy, scal
 from .grassmann import ALL_MASKS, indices_of, mask_of
 from .solver import candidate_keys
 from .verma import VVec, act_elem, vvec_add
@@ -28,6 +30,22 @@ THETA_STAR: DualElement = {(0, 0): scal(-2)}
 
 WT_COADJOINT = weight(0, 0, 2, 0)
 
+# the generators that phi is checked to intertwine
+EQUIVARIANCE_GENS = (dict(an.THETA), {(0, 2): ONE},
+                     {(0, mask_of((1, 2))): ONE}, {(1, 0): ONE},
+                     {(1, 4): ONE}, {(0, 15): ONE})
+
+
+@lru_cache(maxsize=None)
+def _pairing(xk: an.Key, fk: an.Key) -> tuple:
+    """Every basis key y whose plain bracket [x, y] carries fk, with that
+    coefficient: ((yk, c), ...).  Targets below degree -2 pair to nothing."""
+    gtarget = an.grade_key(fk) - an.grade_key(xk)
+    if gtarget < -2:
+        return ()
+    return tuple((yk, c) for yk in an.basis_of_degree(gtarget)
+                 for k, c in an._key_bracket_plain(*xk, *yk) if k == fk)
+
 
 def coadjoint_act(x: an.Element, f: DualElement) -> DualElement:
     """Pairing action; the central generator is dropped on both sides."""
@@ -35,19 +53,10 @@ def coadjoint_act(x: an.Element, f: DualElement) -> DualElement:
     for xk, xc in x.items():
         if xk == an.CKEY:
             continue
-        gx = an.grade_key(xk)
         px = an.parity(xk)
         for fk, fc in f.items():
-            gtarget = an.grade_key(fk) - gx
-            if gtarget < -2:
-                continue
             sign = scal(1 if px and an.parity(fk) else -1)
-            for yk in an.basis_of_degree(gtarget):
-                br = an.bracket({xk: xc}, {yk: ONE})
-                c = br.get(fk)
-                if c is None:
-                    continue
-                acc(out, yk, sign * fc * c)
+            axpy(out, sign * fc * xc, _pairing(xk, fk))
     return out
 
 
@@ -97,14 +106,12 @@ def check_phi_iso(max_degree: int) -> IsoReport:
             red.add_row({idx[k]: c for k, c in img.items()})
         bij.append(red.rank == len(ind_keys))
 
-    gens = [dict(an.THETA), {(0, 2): ONE}, {(0, mask_of((1, 2))): ONE},
-            {(1, 0): ONE}, {(1, 4): ONE}, {(0, 15): ONE}]
     sample_degree = min(max_degree, 4)
     vecs = [{vk: ONE} for d in range(sample_degree + 1)
             for vk in candidate_keys(WT_COADJOINT, d)]
     equi = all(phi_image(act_elem(g, v, WT_COADJOINT))
                == coadjoint_act(g, phi_image(v))
-               for g in gens for v in vecs)
+               for g in EQUIVARIANCE_GENS for v in vecs)
 
     u, v0 = vecs[0], vecs[min(3, len(vecs) - 1)]
     combo = vvec_add({k: c * scal(2, 1) for k, c in u.items()}, v0)

@@ -309,6 +309,22 @@ def table_weights(max_mn: int) -> dict[Weight, list[tuple[str, int, int]]]:
     return out
 
 
+def box_edge_weights(max_mn: int) -> list[tuple[str, Weight]]:
+    """Each family's formula weight one step past a finite bound of its
+    box, the other label anywhere in 0..max_mn, as (label, weight): a box
+    narrowed by mistake leaves there a member that no record claims."""
+    grid = range(max_mn + 1)
+    out = []
+    for label, fam in FAMILIES.items():
+        lo_m, hi_m, lo_n, hi_n = fam.box
+        spots = {(m, n) for m in (lo_m - 1, hi_m + 1) if m in grid
+                 for n in grid}
+        spots |= {(m, n) for n in (lo_n - 1, hi_n + 1) if n in grid
+                  for m in grid}
+        out += [(label, fam.weight_at(m, n)) for m, n in sorted(spots)]
+    return out
+
+
 def off_list_weights(max_mn: int, count: int, seed: int) -> list[Weight]:
     """Seeded weights next to a family formula, with m, n <= max_mn, that
     no family claims at degrees 1-3."""

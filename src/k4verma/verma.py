@@ -405,13 +405,16 @@ def act_oracle(key, v: VVec, wt: Weight) -> VVec:
 
 
 def act(key, v: VVec, wt: Weight) -> VVec:
-    """Action of t^j xi_I (or C) through the closed-form lambda expansion."""
+    """Action of t^j xi_I (or C) through the closed-form lambda expansion;
+    only the template terms of lambda power j are evaluated."""
     if key == an.CKEY:
         # C is central: its template is the one C-token term
         return _lambda_expand(lambda k, l: ((0, ONE, k, l, an.CKEY),),
                               v, wt).get(0, {})
     j, imask = key
-    coeff = lambda_action(imask, v, wt).get(j, {})
+    coeff = _lambda_expand(
+        lambda k, l: [t for t in _primal_template(imask, k, l) if t[0] == j],
+        v, wt).get(j, {})
     f = factorial(j)
     return {vk: c * f for vk, c in coeff.items()} if f != 1 else coeff
 

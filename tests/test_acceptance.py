@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from k4verma import annihilation as an
+from k4verma import coadjoint as co
 from k4verma import conformal as cf
 from k4verma import solver as sv
 from k4verma.cli import main
@@ -318,9 +319,13 @@ def test_criterion_10_complexes_and_duality(tmp_path):
             failures)
 
 
-def test_criterion_11_coadjoint_identification():
-    rep = _run_cli("coadjoint", "--max-degree", "6")
-    failures = _entry_failures(rep, {
+@pytest.fixture(scope="module")
+def coadjoint():
+    return _run_cli("coadjoint", "--max-degree", "6")
+
+
+def test_criterion_11_coadjoint_identification(coadjoint):
+    failures = _entry_failures(coadjoint, {
         "degreewise-bijective": {"dims": [1, 4, 7, 8, 8, 8, 8],
                                  "max_degree": 6},
         "equivariance-sampled": {"max_degree": 4},
@@ -332,3 +337,32 @@ def test_criterion_11_coadjoint_identification():
     _report(11, "coadjoint module identified degreewise up to degree 6; "
                 "nonvanishing checks pass; the module has no singular "
                 "vectors of degrees 1-3", failures)
+
+
+@pytest.mark.parametrize("corrupt, failing", [
+    (lambda xk, fk, entry: () if xk == (0, 2) else entry,
+     {"degreewise-bijective", "equivariance-sampled",
+      "iterated-action-nonzero"}),
+    (lambda xk, fk, entry: tuple((yk, -c) for yk, c in entry)
+     if (xk, fk) == ((0, 1), (0, 0)) else entry,
+     {"equivariance-sampled"}),
+], ids=["xi2-entries-dropped", "one-xi1-sign-flipped"])
+def test_criterion_11_fails_on_a_corrupted_pairing_table(monkeypatch, corrupt,
+                                                         failing):
+    # negative control: the table function itself is corrupted, ahead of
+    # its cache, so every coadjoint action reads the bad entry; the run
+    # must exit 1 and the criterion must fail naming each failing entry
+    pairing = co._pairing
+    monkeypatch.setattr(co, "_pairing",
+                        lambda xk, fk: corrupt(xk, fk, pairing(xk, fk)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["coadjoint", "--max-degree", "6"])
+    rep = json.loads(out.getvalue())
+    assert code == 1
+    assert {c["name"] for c in rep["checks"] if not c["ok"]} == failing
+    with contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(AssertionError) as exc:
+        test_criterion_11_coadjoint_identification(rep)
+    for name in failing:
+        assert f"{{'name': '{name}', 'ok': False" in str(exc.value)

@@ -129,7 +129,9 @@ def test_verify_theorems_names_its_witness(capsys, monkeypatch):
     assert [f["instance"] for f in first["failing_vectors"]] == ["1a(0,0)"]
     assert first["failing_vectors"][0]["generators"]
     for c in rep["checks"]:
-        assert not c["ok"] and c["wrong_degrees"] and c["failing_vectors"]
+        if c["name"].startswith("weight"):
+            assert not c["ok"] and c["wrong_degrees"] \
+                and c["failing_vectors"]
 
 
 @pytest.mark.parametrize("label, field, corrupt, witnesses", [
@@ -159,6 +161,27 @@ def test_verify_theorems_catches_a_corrupted_family(
               for c in rep["checks"] if not c["ok"]}
     assert failed == {name: ([d], [inst])
                       for name, (d, inst) in witnesses.items()}
+
+
+@pytest.mark.parametrize("label, box, weights", [
+    ("2b", (0, 0, 0, 0), ["(1,0,1/2,3/2)"]),
+    ("1b", (2, float("inf"), 0, float("inf")),
+     ["(1,0,3/2,-3/2)", "(1,1,1,-2)"]),
+], ids=["2b-cut-to-a-point", "1b-lower-m-raised"])
+def test_verify_theorems_catches_a_narrowed_box(capsys, monkeypatch, label,
+                                                box, weights):
+    # negative control: a narrowed box drops members from the table sweep,
+    # and the box-edge entries one step past the new bound find them
+    fam = sv.FAMILIES[label]
+    monkeypatch.setitem(sv.FAMILIES, label, dataclasses.replace(fam, box=box))
+    code, rep = run(capsys, "verify-theorems", "--max-mn", "1",
+                    "--negatives", "0")
+    assert code == 1
+    failed = {c["name"]: c for c in rep["checks"] if not c["ok"]}
+    assert set(failed) == {f"box-edge {label} {w}" for w in weights}
+    for c in failed.values():
+        assert c["wrong_degrees"] == [{"degree": fam.deg, "kernel_dim": 1,
+                                       "expected": [], "labels": [None]}]
 
 
 def test_complexes_writes_graph_files(capsys, tmp_path):

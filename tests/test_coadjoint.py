@@ -2,7 +2,7 @@ import pytest
 
 from k4verma import annihilation as an
 from k4verma import coadjoint as co
-from k4verma.exact import ONE, axpy, scal
+from k4verma.exact import ONE, acc, axpy, scal
 from k4verma.verma import vvec
 
 
@@ -55,3 +55,32 @@ def test_phi_rejects_nontrivial_sl2_monomials():
 
 def test_phi_is_bijective_past_degree_sixteen():
     assert all(co.check_phi_iso(18).bijective)
+
+
+def _brute_force_act(x, f):
+    """The pairing action as first written: the full bracket of each key of
+    x with every basis key of the target degree, one coefficient read."""
+    out = {}
+    for xk, xc in x.items():
+        if xk == an.CKEY:
+            continue
+        for fk, fc in f.items():
+            gtarget = an.grade_key(fk) - an.grade_key(xk)
+            if gtarget < -2:
+                continue
+            sign = scal(1 if an.parity(xk) and an.parity(fk) else -1)
+            for yk in an.basis_of_degree(gtarget):
+                c = an.bracket({xk: xc}, {yk: ONE}).get(fk)
+                if c is not None:
+                    acc(out, yk, sign * fc * c)
+    return out
+
+
+def test_pairing_table_matches_the_brute_force_action():
+    xs = [dict(an.THETA), *({(0, 1 << (j - 1)): ONE} for j in (1, 2, 3, 4)),
+          *co.EQUIVARIANCE_GENS]
+    fkeys = [fk for d in range(-2, 7) for fk in an.basis_of_degree(d)]
+    for x in xs:
+        for fk in fkeys:
+            f = {fk: scal(2, -1)}
+            assert co.coadjoint_act(x, f) == _brute_force_act(x, f), (x, fk)

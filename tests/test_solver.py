@@ -306,3 +306,22 @@ def test_off_list_weights_are_seeded_and_claimed_by_no_family():
     for wt in wts:
         assert 0 <= wt.m <= 2 and 0 <= wt.n <= 2
         assert not any(sv.expected_labels(wt, d) for d in (1, 2, 3))
+
+
+def test_box_edge_weights_step_past_every_finite_bound():
+    # 3a's box is the point (1, 0): one step past lo_m, hi_m and hi_n gives
+    # the columns m = 0 and m = 2 and the row n = 1 of the 2x2 grid
+    edges = sv.box_edge_weights(1)
+    assert [(wt.m, wt.n) for lab, wt in edges if lab == "3a"] == [
+        (0, 0), (0, 1), (1, 1)]
+    assert not [lab for lab, _ in edges if lab == "1a"]
+    # at max_mn 3 every one of them carries exactly the claimed kernel
+    edges = sv.box_edge_weights(3)
+    assert len(edges) == 57
+    for label, wt in edges:
+        fam = sv.FAMILIES[label]
+        assert not fam.in_range(wt.m, wt.n)
+        rep = sv.solve(wt, fam.deg)
+        expect = sorted(sv.expected_labels(wt, fam.deg))
+        assert rep.kernel_dim == len(expect), (label, str(wt))
+        assert sorted(l for l in rep.labels if l) == expect, (label, str(wt))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 from k4verma import annihilation as an
 from k4verma import verma as vm
@@ -217,3 +218,25 @@ def test_act_elem_is_the_sum_of_key_actions():
     for key, c in g.items():
         expect = vm.vvec_add(expect, vm.act(key, v, WT), bscale=c)
     assert vm.act_elem(g, v, WT) == expect
+
+
+def test_act_is_j_factorial_times_the_lambda_power_j_coefficient():
+    # act evaluates only the template terms of lambda power j; the full
+    # expansion of lambda_action referees it on every unit vector with
+    # Theta power <= 2, at a generic weight and at the coadjoint weight,
+    # where mu_t = 2 and mu_C = 0 leave many images empty
+    from k4verma.coadjoint import WT_COADJOINT
+    for wt in (weight(1, 1, Fraction(7, 3), Fraction(-4, 5)), WT_COADJOINT):
+        for imask in range(16):
+            for k in range(3):
+                for l in range(16):
+                    for mon in wt.keys():
+                        v = V(k, l, mon=mon)
+                        lam = vm.lambda_action(imask, v, wt)
+                        for j in range(4):
+                            got = vm.act((j, imask), v, wt)
+                            f = scal(factorial(j))
+                            assert got == {vk: c * f for vk, c
+                                           in lam.get(j, {}).items()}, \
+                                (j, imask, v, wt)
+                            assert not any(c.is_zero() for c in got.values())
