@@ -86,23 +86,23 @@ def grade(a: Element):
 
 # -- the cocycle -------------------------------------------------------------
 
+def _psi_table() -> tuple:
+    """psi at t-power zero, indexed [mask I][mask J]."""
+    rows = [[ZERO] * 16 for _ in range(16)]
+    rows[0][MASK_ALL], rows[MASK_ALL][0] = scal(-2), scal(2)
+    for i in (1, 2, 3, 4):
+        im = 1 << (i - 1)
+        rows[im][complement(im)] = rows[complement(im)][im] = scal((-1) ** i)
+    return tuple(map(tuple, rows))
+
+
+_PSI0 = _psi_table()
+
+
 def psi_default(a: Key, b: Key) -> ExactScalar:
-    if a == CKEY or b == CKEY:
+    if a[0] or b[0]:  # a positive t-power, or CKEY
         return ZERO
-    (m, im), (n, jm) = a, b
-    if m or n:
-        return ZERO
-    if im == 0 and jm == MASK_ALL:
-        return scal(-2)
-    if im == MASK_ALL and jm == 0:
-        return scal(2)
-    if size(im) == 1 and jm == complement(im):
-        i = im.bit_length()  # mask 1<<(i-1) -> i
-        return scal((-1) ** i)
-    if size(jm) == 1 and im == complement(jm):
-        i = jm.bit_length()
-        return scal((-1) ** i)
-    return ZERO
+    return _PSI0[a[1]][b[1]]
 
 
 @lru_cache(maxsize=None)

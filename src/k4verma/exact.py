@@ -4,10 +4,12 @@ Every quantity in this package is a complex number (a + b i) / d with
 Python ints a, b, d, d > 0 and gcd(a, b, d) = 1, so equal values have equal
 fields.  Most structure constants are Gaussian integers (d = 1); the
 arithmetic skips the gcd there, and the imaginary products for real
-operands.  Floating point is never used.  All linear algebra is one sparse
-Gaussian elimination, RowReducer, on dict-rows, keeping only pivot rows:
-matrices have a few hundred rows/columns at most but are sparse.  Kernels
-are sparse dicts, and the one small inverse is a reduction of [A | 1].
+operands, and a product with a factor of +-1 (most of them) returns the
+other factor or its negation.  Floating point is never used.  All linear
+algebra is one sparse Gaussian elimination, RowReducer, on dict-rows,
+keeping only pivot rows: matrices have a few hundred rows/columns at most
+but are sparse.  Kernels are sparse dicts, and sparse_nullspace stops
+reading rows at full rank; the one small inverse is a reduction of [A | 1].
 """
 
 from __future__ import annotations
@@ -110,12 +112,18 @@ class ExactScalar:
     def __mul__(self, other: object) -> "ExactScalar":
         if other.__class__ is not ExactScalar:
             other = _coerce(other)
-        a, b, c, e = self._a, self._b, other._a, other._b
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        # a factor of +-1 returns the other one, or its negation
+        if f == 1 and not e and (c == 1 or c == -1):
+            return self if c == 1 else _mk(-a, -b, d)
+        if d == 1 and not b and (a == 1 or a == -1):
+            return other if a == 1 else _mk(-c, -e, f)
         if b or e:
             a, b = a * c - b * e, a * e + b * c
         else:
             a *= c
-        d = self._d * other._d
+        d *= f
         if d == 1:
             return _mk(a, b, 1)
         return _norm(a, b, d)
@@ -199,8 +207,9 @@ def acc(d: dict, key, c: ExactScalar) -> None:
 def axpy(out: dict, coef: ExactScalar, items) -> None:
     """out += coef * src in place, with src given as (key, scalar) items
     (a dict's items() or a frozen tuple); entries that cancel drop out."""
+    unit = coef._d == 1 and coef._a == 1 and not coef._b
     for k, v in items:
-        t = v * coef
+        t = v if unit else v * coef
         w = out.get(k)
         if w is not None:
             t = _add(w, t._a, t._b, t._d)
@@ -273,9 +282,13 @@ class RowReducer:
 
 def sparse_nullspace(rows: Iterable[dict[int, ExactScalar]],
                      ncols: int) -> list[dict[int, ExactScalar]]:
+    """Kernel basis of the rows; at full rank the kernel is already empty,
+    so no further row is read."""
     red = RowReducer(ncols)
     for r in rows:
         red.add_row(r)
+        if len(red.pivots) == ncols:
+            break
     return red.nullspace()
 
 

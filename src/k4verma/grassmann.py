@@ -42,7 +42,7 @@ def indices_of(mask: int) -> tuple[int, ...]:
 
 
 def size(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def complement(mask: int) -> int:

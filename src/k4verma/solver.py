@@ -33,7 +33,7 @@ from math import factorial
 from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
                     sparse_nullspace)
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
-from .verma import LambdaVal, VKey, VVec, act_elem, degree, \
+from .verma import LambdaVal, VKey, VVec, degree, \
     dual_lambda_action, lambda_action, transform_T, vvec_add, w_mul
 from .weights import SL2_IN_XI, Weight, weight
 
@@ -393,7 +393,8 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
     failures = [cond if isinstance(cond, str) else _gen_name(*cond)
                 for cond, img in _conditions(lam).items() if img]
 
-    short = [tag for tag, g in (*_E_ROWS, *_SHORTCUT) if act_elem(g, v, wt)]
+    short = [tag for tag, img in _images((*_E_ROWS, *_SHORTCUT), lam).items()
+             if img]
 
     ok, ok_short = not failures, not short
     if ok != ok_short:

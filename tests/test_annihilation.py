@@ -4,7 +4,7 @@ import pytest
 
 from k4verma import annihilation as an
 from k4verma.exact import ZERO, scal
-from k4verma.grassmann import MASK_ALL, mask_of
+from k4verma.grassmann import MASK_ALL, complement, mask_of, size
 
 
 def test_grading_element():
@@ -57,6 +57,32 @@ def test_jacobi_small():
 def test_cocycle_conditions_small():
     rep = an.check_cocycle(max_tpow=1)
     assert rep.ok
+
+
+def _psi_rule(a, b):
+    # the cocycle as stated in the module docstring, case by case
+    if a == an.CKEY or b == an.CKEY:
+        return ZERO
+    (m, im), (n, jm) = a, b
+    if m or n:
+        return ZERO
+    if im == 0 and jm == MASK_ALL:
+        return scal(-2)
+    if im == MASK_ALL and jm == 0:
+        return scal(2)
+    if size(im) == 1 and jm == complement(im):
+        return scal((-1) ** im.bit_length())
+    if size(jm) == 1 and im == complement(jm):
+        return scal((-1) ** jm.bit_length())
+    return ZERO
+
+
+def test_psi_table_equals_the_rule():
+    keys = an.basis(1)
+    assert an.CKEY in keys
+    for a in keys:
+        for b in keys:
+            assert an.psi_default(a, b) == _psi_rule(a, b), (a, b)
 
 
 def test_corrupted_cocycle_detected():

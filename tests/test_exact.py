@@ -84,6 +84,31 @@ def test_rank_invariant_under_column_reversal(rows):
         _reduce([list(reversed(r)) for r in rows], 3).rank
 
 
+def _counted(rows, taken):
+    # yields the rows, first recording each one that is taken
+    for r in rows:
+        taken.append(r)
+        yield r
+
+
+def test_full_rank_stops_reading_rows():
+    # the first three rows have rank 3; the rows after them, one of them
+    # out of range, are never taken
+    taken = []
+    rows = _rows([[1, 0, 0], [1, 1, 0], [0, 1, 1], [5, 6, 7], [0, 0, 0, 9]])
+    assert sparse_nullspace(_counted(rows, taken), 3) == []
+    assert len(taken) == 3
+
+
+def test_nonzero_kernel_reads_every_row():
+    dense = [[1, 1, 0, 0], [0, 0, 0, 0], [2, 2, 0, 0], [0, 1, 1, 0],
+             [1, 2, 1, 0]]
+    taken = []
+    ker = sparse_nullspace(_counted(_rows(dense), taken), 4)
+    assert len(taken) == len(dense)
+    assert ker == [{0: ONE, 1: scal(-1), 2: ONE}, {3: ONE}]
+
+
 def test_late_pivot_column_is_eliminated():
     # a fresh pivot row must not keep entries at previously pivoted columns,
     # or the back-substitution in nullspace() reads garbage
@@ -202,6 +227,14 @@ def test_scalar_ops_with_plain_right_operand(op, x, kq):
 def test_scalar_ops_with_plain_left_operand(op, kq, y):
     x = (kq[1], Fraction(0))
     _check_op(op, x, y, _plain_value(*kq), scal(*y))
+
+
+@given(pairs, st.sampled_from([scal(1), scal(-1), ONE]))
+def test_unit_factor_gives_the_general_product(x, u):
+    # the +-1 shortcut on either side, against the general product
+    y = (u.re, u.im)
+    _check_op("*", x, y, scal(*x), u)
+    _check_op("*", y, x, u, scal(*x))
 
 
 @given(pairs)

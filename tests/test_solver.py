@@ -192,7 +192,12 @@ def test_verify_vector_detects_a_broken_shortcut(monkeypatch):
     # negative control: the shortcut's generators act as zero, so Theta
     # times a singular vector passes there and fails the full sweep
     wt, v = sv.build_theorem_vector("1a", 0, 0)
-    monkeypatch.setattr(sv, "act_elem", lambda g, v, wt: {})
+    images = sv._images
+    # the four shortcut generators act as zero; the full sweep's e rows
+    # keep their images
+    monkeypatch.setattr(sv, "_images", lambda table, lam: (
+        images(table, lam) if table is sv._E_ROWS
+        else {tag: {} for tag, _ in table}))
     with pytest.raises(RuntimeError, match="full sweep and shortcut disagree"):
         sv.verify_vector(theta_mul(v), wt)
 

@@ -35,18 +35,21 @@ def test_bench_tracer_installs(monkeypatch):
         tracing.install(tr)
         stats = tracing.cache_stats()
         rep = solver.solve(weights.weight(0, 0, 0, 0), 1)
+        # the dual route too: the tracer takes len() of its assembled rows
+        dual = solver.solve(weights.weight(0, 0, 0, 0), 1, dual=True)
     finally:
         # names the tracer added (wraps of names a module does not use)
         for m in MODULES:
             for name in set(vars(m)) - before[m]:
                 delattr(m, name)
     assert set(tracing.TEMPLATES) <= set(stats)
-    assert rep.labels == ("1a",)
+    assert rep.labels == dual.labels == ("1a",)
     spans = {name for _, name in tr.agg}
     assert {"solver.solve", "solver.assemble", "exact.reduce",
             "solver.canonical", "solver.label", "verma.action",
             "weights.act_g0"} <= spans
-    assert tr.counts["solver.solves"] == 1
+    assert tr.counts["solver.solves"] == 2
+    assert tr.counts["solver.rows"] == tr.counts["exact.rows_in"] > 0
 
 
 def test_bench_workloads_build_and_their_controls_fail():
