@@ -38,23 +38,11 @@ from fractions import Fraction
 
 from . import conformal as cf
 from .exact import ExactScalar, ZERO, acc, axpy, scal
-from .grassmann import DERIVE, MASK_ALL, STAR, complement, mask_of, size
+from .grassmann import DERIVE, MASK_ALL, STAR, complement, size
 
 Key = tuple[int, int]          # (t power, mask); CKEY is the central element
 CKEY: Key = (-1, 0)
 Element = dict[Key, ExactScalar]
-
-
-def tmono(tpow: int, indices, coeff=1) -> Element:
-    c = ExactScalar._coerce(coeff)
-    if c.is_zero():
-        return {}
-    m = indices if isinstance(indices, int) else mask_of(indices)
-    return {(tpow, m): c}
-
-
-def central(coeff=1) -> Element:
-    return {CKEY: ExactScalar._coerce(coeff)}
 
 
 THETA: Element = {(0, 0): scal(Fraction(-1, 2))}
@@ -72,16 +60,6 @@ def grade_key(key: Key) -> int:
         return 0
     m, mask = key
     return 2 * m + size(mask) - 2
-
-
-def grade(a: Element):
-    """Common degree of a homogeneous element, or the string 'mixed'."""
-    degs = {grade_key(k) for k in a if not a[k].is_zero()}
-    if not degs:
-        return 0
-    if len(degs) == 1:
-        return degs.pop()
-    return "mixed"
 
 
 # -- the cocycle -------------------------------------------------------------
@@ -191,10 +169,9 @@ def check_cocycle(max_tpow: int = 3, psi=psi_default) -> cf.AxiomReport:
     keys = basis(max_tpow, with_central=False)
 
     def psi_of(elem: Element, other: Key, flip: bool) -> ExactScalar:
+        # elem is a plain bracket: drop_central has taken C out of it
         total = ZERO
         for k, c in elem.items():
-            if k == CKEY:
-                continue
             total = total + c * (psi(other, k) if not flip else psi(k, other))
         return total
 

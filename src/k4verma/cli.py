@@ -302,6 +302,9 @@ def cmd_coadjoint(args) -> int:
                co.coadjoint_act({(1, 0): ONE}, dict(co.THETA_STAR))
                == {(0, 0): scal(-4)}),
     ]
+    rep = co.check_representation(args.max_degree)
+    checks.append(_check("action-is-a-representation", rep.ok,
+                         triples=rep.triples_checked, **_named(rep.failures)))
     degrees = [1, 2, 3]
     no_sing = all(sv.solve(co.WT_COADJOINT, d).kernel_dim == 0
                   for d in degrees)

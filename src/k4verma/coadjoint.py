@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import annihilation as an
+from .conformal import AxiomReport
 from .exact import ExactScalar, ONE, RowReducer, axpy, scal
 from .grassmann import ALL_MASKS, indices_of, mask_of
 from .solver import candidate_keys
@@ -58,6 +59,30 @@ def coadjoint_act(x: an.Element, f: DualElement) -> DualElement:
             sign = scal(1 if px and an.parity(fk) else -1)
             axpy(out, sign * fc * xc, _pairing(xk, fk))
     return out
+
+
+def check_representation(max_degree: int) -> AxiomReport:
+    """x.(y.f) - (-1)^{p(x)p(y)} y.(x.f) = [x, y].f, with [x, y] the plain
+    bracket, for x of t-power <= max_degree // 2 + 1, y of degree -2 or -1
+    and f a dual key of degree -2..max_degree; failures are (x, y, f)."""
+    rep = AxiomReport()
+    ys = an.basis_of_degree(-2) + an.basis_of_degree(-1)
+    fs = [fk for d in range(-2, max_degree + 1) for fk in an.basis_of_degree(d)]
+    for xk in an.basis(max_degree // 2 + 1, with_central=False):
+        x = {xk: ONE}
+        for yk in ys:
+            y = {yk: ONE}
+            xy = an.drop_central(an.bracket(x, y))
+            sign = scal(1 if an.parity(xk) and an.parity(yk) else -1)
+            for fk in fs:
+                f = {fk: ONE}
+                defect = coadjoint_act(x, coadjoint_act(y, f))
+                axpy(defect, sign, coadjoint_act(y, coadjoint_act(x, f)).items())
+                axpy(defect, -ONE, coadjoint_act(xy, f).items())
+                if defect:
+                    rep.failures.append((xk, yk, fk))
+                rep.triples_checked += 1
+    return rep
 
 
 def phi_image(v: VVec) -> DualElement:

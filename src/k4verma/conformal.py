@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .exact import ExactScalar, ONE, acc, axpy, scal
-from .grassmann import DERIVE, MASK_ALL, STAR, mask_of, size
+from .grassmann import DERIVE, MASK_ALL, STAR, size
 
 Gen = tuple[int, int]               # (pd power, index mask)
 Element = dict[Gen, ExactScalar]
@@ -36,22 +36,6 @@ LambdaPoly = dict[int, Element]     # lambda power -> element
 
 def parity(mask: int) -> int:
     return size(mask) & 1
-
-
-def xi(indices, dpow: int = 0, coeff=1) -> Element:
-    """Element constructor: coeff * pd^dpow xi_{indices}."""
-    c = ExactScalar._coerce(coeff)
-    if c.is_zero():
-        return {}
-    m = indices if isinstance(indices, int) else mask_of(indices)
-    return {(dpow, m): c}
-
-
-def elem_scale(a: Element, s) -> Element:
-    s = ExactScalar._coerce(s)
-    if s.is_zero():
-        return {}
-    return {g: c * s for g, c in a.items()}
 
 
 def apply_pd(a: Element, times: int = 1) -> Element:
@@ -113,17 +97,6 @@ def lambda_bracket(a: Element, b: Element) -> LambdaPoly:
     return {n: e for n, e in out.items() if e}
 
 
-def nth_product(a: Element, b: Element, n: int) -> Element:
-    """a_(n) b = n! times the lambda^n coefficient of the bracket."""
-    coeff = lambda_bracket(a, b).get(n, {})
-    return elem_scale(coeff, factorial(n))
-
-
-def lambda_degree(p: LambdaPoly) -> int:
-    live = [n for n, e in p.items() if e]
-    return max(live) if live else -1
-
-
 def in_derived(a: Element) -> bool:
     """True iff the element lies in K'_4 (no bare xi_1234 component)."""
     return all(not (k == 0 and m == MASK_ALL) for (k, m) in a)
@@ -131,10 +104,6 @@ def in_derived(a: Element) -> bool:
 
 def k4_basis(max_dpow: int) -> list[Gen]:
     return [(k, m) for k in range(max_dpow + 1) for m in range(16)]
-
-
-def kprime_basis(max_dpow: int) -> list[Gen]:
-    return [(k, m) for k, m in k4_basis(max_dpow) if not (k == 0 and m == MASK_ALL)]
 
 
 # -- axiom checks -----------------------------------------------------------

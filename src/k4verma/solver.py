@@ -176,7 +176,6 @@ def _kernel(wt: Weight, cols: Sequence[VVec], dual: bool) -> list[VVec]:
 class SingularReport:
     weight: Weight
     deg: int
-    columns: tuple[VKey, ...]
     kernel: tuple[VVec, ...]
     labels: tuple
 
@@ -202,7 +201,7 @@ def solve(wt: Weight, deg: int, dual: bool = False) -> SingularReport:
                                    f"conditions at weight {wt} degree {deg}")
     canon = _canonical(kern, cols)
     labels = tuple(match_label(wt, deg, v) for v in canon)
-    return SingularReport(wt, deg, tuple(cols), canon, labels)
+    return SingularReport(wt, deg, canon, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +366,6 @@ def _scalar_equal(a: VVec, b: VVec) -> bool:
 @dataclass(frozen=True)
 class VerifyReport:
     ok: bool
-    deg: int
     failures: tuple[str, ...]
     shortcut_failures: tuple[str, ...]
 
@@ -400,7 +398,7 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
     if ok != ok_short:
         raise RuntimeError(f"full sweep and shortcut disagree at weight {wt} "
                            f"degree {d} on {v!r}")
-    return VerifyReport(ok, d, tuple(sorted(set(failures))), tuple(short))
+    return VerifyReport(ok, tuple(sorted(set(failures))), tuple(short))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +408,6 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
 
 @dataclass(frozen=True)
 class ThetaBoundReport:
-    weight: Weight
-    max_theta_ansatz: int
     kernel: tuple[VVec, ...]   # in T-image coordinates
     max_theta_seen: int
     shape_ok: bool
@@ -440,7 +436,7 @@ def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
                 shape_ok = False
             if k == 0 and l == 0:
                 no_scalar = False
-    return ThetaBoundReport(wt, nmax, kern, max_seen, shape_ok, no_scalar)
+    return ThetaBoundReport(kern, max_seen, shape_ok, no_scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from math import factorial
 from . import annihilation as an
 from .exact import ExactScalar, ONE, acc, axpy, scal
 from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, STAR, complement,
-                        derive_seq, indices_of, mask_of, normalize, size)
+                        derive_seq, indices_of, normalize, size)
 from .weights import MonKey, Weight, act_g0, pair_mask
 
 VKey = tuple[int, int, MonKey]      # (Theta power, eta mask, F monomial)
@@ -48,12 +48,6 @@ LambdaVal = dict[int, VVec]
 # template term: (lambda power, coeff, Theta power, eta mask, token); the
 # token is None (the identity) or the degree-zero key that acts on F:
 # (1, 0) for t, an.CKEY for C and (0, pair mask) for xi_pair
-
-
-def vvec(k: int, indices, mon: MonKey, coeff=1) -> VVec:
-    c = ExactScalar._coerce(coeff)
-    mask = indices if isinstance(indices, int) else mask_of(indices)
-    return {(k, mask, mon): c} if not c.is_zero() else {}
 
 
 def vvec_add(a: VVec, b: VVec, bscale=1) -> VVec:

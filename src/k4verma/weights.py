@@ -46,9 +46,6 @@ class Weight:
         if self.m < 0 or self.n < 0:
             raise ValueError("sl2 labels must be nonnegative integers")
 
-    def dim(self) -> int:
-        return (self.m + 1) * (self.n + 1)
-
     def keys(self) -> list[MonKey]:
         return [(a, b) for a in range(self.m + 1) for b in range(self.n + 1)]
 
@@ -149,22 +146,6 @@ def pair_mask(j: int, i: int) -> tuple[int, int]:
     if j < i:
         return 1, mask_of((j, i))
     return -1, mask_of((i, j))
-
-
-def hwv(wt: Weight) -> Vector:
-    return {(wt.m, wt.n): ONE}
-
-
-def e1(wt: Weight, vec: Vector) -> Vector:
-    out = apply_sl2("e_x", wt, vec)
-    axpy(out, ONE, apply_sl2("e_y", wt, vec).items())
-    return out
-
-
-def e2(wt: Weight, vec: Vector) -> Vector:
-    out = apply_sl2("e_x", wt, vec)
-    axpy(out, -ONE, apply_sl2("e_y", wt, vec).items())
-    return out
 
 
 def lowering_word(key: MonKey, wt: Weight) -> tuple[ExactScalar, tuple[int, int]]:

@@ -26,7 +26,8 @@ from k4verma import solver as sv
 from k4verma.cli import main
 from k4verma.exact import ONE, axpy, scal
 from k4verma.grassmann import MASK_ALL, mask_of
-from k4verma.verma import act, act_oracle, dual_lambda_action, theta_mul
+from k4verma.verma import act, act_oracle, dual_lambda_action, theta_mul, \
+    transform_T
 from k4verma.weights import act_g0, pair_mask, weight
 
 F = Fraction
@@ -290,9 +291,16 @@ def test_criterion_09_no_higher_degrees():
             if sv.solve(wt, d).kernel_dim != 0:
                 failures.append((wt, d))
     for label, mn in (("3a", (1, 0)), ("2d", (0, 4))):
-        wt = sv.FAMILIES[label].weight_at(*mn)
+        wt, vec = sv.build_theorem_vector(label, *mn)
         deep = sv.theta_degree_bound_check(wt, 5)
         base = sv.theta_degree_bound_check(wt, 3)
+        # T of the family vector and eta_1234 (x) the top monomial
+        tvec, top = transform_T(vec), {(0, MASK_ALL, mn): ONE}
+        want = sv._canonical([tvec, top], sorted({*tvec, *top}))
+        if deep.kernel != want:
+            failures.append((label, f"ansatz kernel of dimension "
+                                    f"{len(deep.kernel)} is not T(family "
+                                    f"vector) and eta_1234 (x) top"))
         if deep.kernel != base.kernel:
             failures.append((label, "ansatz depth changes the kernel"))
         if not (deep.shape_ok and deep.no_scalar_term):
@@ -300,8 +308,27 @@ def test_criterion_09_no_higher_degrees():
         if deep.max_theta_seen > 3:
             failures.append((label, "Theta degree above the bound"))
     _report(9, "degree-4 and degree-5 kernels vanish everywhere swept; "
-               "the Theta-ansatz to the fifth power reproduces the bound "
-               "and the coefficient reductions", failures)
+               "the Theta-ansatz to the fifth power is spanned by T(family "
+               "vector) and eta_1234 (x) top, and reproduces the bound and "
+               "the coefficient reductions", failures)
+
+
+def test_criterion_09_fails_on_a_dual_action_without_lambda_zero(
+        monkeypatch):
+    # negative control: the dual action, which the Theta-ansatz solves
+    # through, loses every lambda^0 coefficient; the kernel grows at both
+    # weights, and the criterion must fail naming each label
+    dual = sv.dual_lambda_action
+
+    def no_lambda_zero(imask, v, wt):
+        return {lp: vec for lp, vec in dual(imask, v, wt).items() if lp}
+
+    monkeypatch.setattr(sv, "dual_lambda_action", no_lambda_zero)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(AssertionError) as exc:
+        test_criterion_09_no_higher_degrees()
+    for label in ("3a", "2d"):
+        assert f"('{label}', 'ansatz kernel of dimension" in str(exc.value)
 
 
 def test_criterion_10_complexes_and_duality(tmp_path):
@@ -333,20 +360,29 @@ def test_criterion_11_coadjoint_identification(coadjoint):
         "iterated-action-nonzero": {"max_theta_pow": 3},
         "raising-returns-to-theta-star": {"max_tpow": 3},
         "t-scales-theta-star": {},
+        "action-is-a-representation": {"triples": 80 * 5 * 60},
         "module-has-no-singular-vectors": {"degrees": [1, 2, 3]}})
     _report(11, "coadjoint module identified degreewise up to degree 6; "
-                "nonvanishing checks pass; the module has no singular "
+                "nonvanishing checks pass; the action is a representation "
+                "on every triple swept; the module has no singular "
                 "vectors of degrees 1-3", failures)
 
 
 @pytest.mark.parametrize("corrupt, failing", [
     (lambda xk, fk, entry: () if xk == (0, 2) else entry,
      {"degreewise-bijective", "equivariance-sampled",
-      "iterated-action-nonzero"}),
+      "iterated-action-nonzero", "action-is-a-representation"}),
     (lambda xk, fk, entry: tuple((yk, -c) for yk, c in entry)
      if (xk, fk) == ((0, 1), (0, 0)) else entry,
-     {"equivariance-sampled"}),
-], ids=["xi2-entries-dropped", "one-xi1-sign-flipped"])
+     {"equivariance-sampled", "action-is-a-representation"}),
+    (lambda xk, fk, entry: tuple((yk, -c) for yk, c in entry)
+     if (xk, fk) == ((0, 0), (2, 0)) else entry,
+     {"action-is-a-representation"}),
+    (lambda xk, fk, entry: tuple((yk, -c) for yk, c in entry)
+     if (xk, fk) == ((2, 1), (1, 1)) else entry,
+     {"action-is-a-representation"}),
+], ids=["xi2-entries-dropped", "one-xi1-sign-flipped",
+        "one-theta-sign-flipped", "one-raising-sign-flipped"])
 def test_criterion_11_fails_on_a_corrupted_pairing_table(monkeypatch, corrupt,
                                                          failing):
     # negative control: the table function itself is corrupted, ahead of

@@ -207,6 +207,18 @@ def test_coadjoint_dimension_prefix(capsys):
     assert_golden(rep, "coadjoint")
 
 
+def test_out_writes_the_report(capsys, tmp_path):
+    # --out sends the report to the file and prints nothing
+    path = tmp_path / "coadjoint.json"
+    assert main(["coadjoint", "--max-degree", "0", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    code, rep = run(capsys, "coadjoint", "--max-degree", "0")
+    assert code == 0
+    written = json.loads(path.read_text())
+    assert written.pop("elapsed_s") >= 0
+    assert written == {k: v for k, v in rep.items() if k != "elapsed_s"}
+
+
 def usage_error(cwd, *argv: str) -> str:
     """stderr of a CLI run that must end as a usage error: exit code 2,
     no traceback and no report."""

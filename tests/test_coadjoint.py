@@ -3,7 +3,6 @@ import pytest
 from k4verma import annihilation as an
 from k4verma import coadjoint as co
 from k4verma.exact import ONE, acc, axpy, scal
-from k4verma.verma import vvec
 
 
 def test_theta_star_pairs_to_one_against_theta():
@@ -50,7 +49,7 @@ def test_module_axiom_on_samples():
 
 def test_phi_rejects_nontrivial_sl2_monomials():
     with pytest.raises(ValueError):
-        co.phi_image(vvec(0, (1,), (1, 0)))
+        co.phi_image({(0, 1, (1, 0)): ONE})
 
 
 def test_phi_is_bijective_past_degree_sixteen():

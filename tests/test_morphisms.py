@@ -6,7 +6,8 @@ import pytest
 from k4verma import annihilation as an
 from k4verma import morphisms as mo
 from k4verma.exact import ONE, ZERO, scal
-from k4verma.verma import eta_mul, act, vvec, vvec_add
+from k4verma.grassmann import mask_of
+from k4verma.verma import eta_mul, act
 from k4verma.weights import weight
 
 F = Fraction
@@ -40,7 +41,7 @@ def test_defining_property_and_linearity():
 
 def test_evaluate_commutes_with_the_action():
     phi = mo.morphism_from_family("1b", 2, 1)
-    v = vvec_add(vvec(0, (2,), (1, 1)), vvec(1, (), (0, 1), scal(2, 1)))
+    v = {(0, mask_of((2,)), (1, 1)): ONE, (1, 0, (0, 1)): scal(2, 1)}
     for key in [(0, 1), (1, 2), (0, 7), (1, 0)]:   # xi_1, t xi_2, xi_123, t
         lhs = act(key, mo.evaluate(phi, v), phi.target)
         rhs = mo.evaluate(phi, act(key, v, phi.source))
@@ -50,7 +51,7 @@ def test_evaluate_commutes_with_the_action():
 def test_evaluate_rejects_foreign_monomials():
     phi = mo.morphism_from_family("1a", 0, 0)   # source labels (1, 1)
     with pytest.raises(ValueError):
-        mo.evaluate(phi, vvec(0, (), (2, 0)))
+        mo.evaluate(phi, {(0, 0, (2, 0)): ONE})
 
 
 def test_compose_requires_a_chain():

@@ -3,7 +3,7 @@ from math import factorial
 
 from k4verma import annihilation as an
 from k4verma import verma as vm
-from k4verma.exact import ONE, scal
+from k4verma.exact import ONE, ExactScalar, scal
 from k4verma.grassmann import MASK_ALL, mask_of, size
 from k4verma.weights import weight
 
@@ -12,7 +12,9 @@ MON = (1, 1)
 
 
 def V(k, idx, mon=MON, coeff=1):
-    return vm.vvec(k, idx, mon, coeff)
+    """coeff Theta^k eta_idx (x) mon, idx a tuple of indices or a mask."""
+    mask = idx if isinstance(idx, int) else mask_of(idx)
+    return {(k, mask, mon): ExactScalar._coerce(coeff)}
 
 
 def test_eta_multiplication():
@@ -109,7 +111,7 @@ def test_oracle_equivalence_full_small_weight():
             for k in range(3):
                 for l in range(16):
                     for mon in WT.keys():
-                        v = vm.vvec(k, l, mon)
+                        v = V(k, l, mon)
                         assert (vm.act((j, imask), v, WT)
                                 == vm.act_oracle((j, imask), v, WT)), \
                             ((j, imask), (k, l, mon))
@@ -119,7 +121,7 @@ def test_dual_action_is_T_conjugate():
     for imask in range(16):
         for k in range(2):
             for l in range(16):
-                v = vm.vvec(k, l, MON)
+                v = V(k, l)
                 lhs = vm.dual_lambda_action(imask, vm.transform_T(v), WT)
                 rhs = {n: vm.transform_T(c)
                        for n, c in vm.lambda_action(imask, v, WT).items()}
@@ -149,7 +151,7 @@ def test_module_axiom_sampled():
 def test_template_tokens_are_degree_zero_keys():
     # every term is (lambda power, coeff, Theta power, eta mask, token), and
     # a token is None or a degree-zero key that the g0 action takes
-    from k4verma.weights import act_g0, hwv
+    from k4verma.weights import act_g0
     for imask in range(16):
         for lmask in range(16):
             for k in range(3):
@@ -164,7 +166,7 @@ def test_template_tokens_are_degree_zero_keys():
                     tok = term[4]
                     if tok is not None:
                         assert an.grade_key(tok) == 0
-                        act_g0(tok, WT, hwv(WT))
+                        act_g0(tok, WT, {(WT.m, WT.n): ONE})
 
 
 def test_C_template_is_one_term_and_acts_through_g0():
@@ -184,15 +186,15 @@ def test_zero_mu_gives_empty_images():
     # at mu_C = 0 (the coadjoint weight) C acts by zero, and at mu_t = 0 so
     # does t; every action returns {} there, not explicit zero entries
     from k4verma.coadjoint import WT_COADJOINT
-    from k4verma.weights import act_g0, hwv
+    from k4verma.weights import act_g0
     for k in range(3):
         for l in range(16):
             v = V(k, l, mon=(0, 0))
             assert vm.act(an.CKEY, v, WT_COADJOINT) == {}
             assert vm.act_oracle(an.CKEY, v, WT_COADJOINT) == {}
-    assert act_g0(an.CKEY, WT_COADJOINT, hwv(WT_COADJOINT)) == {}
+    assert act_g0(an.CKEY, WT_COADJOINT, {(0, 0): ONE}) == {}
     w = weight(1, 0, 0, scal(3))
-    assert act_g0((1, 0), w, hwv(w)) == {}
+    assert act_g0((1, 0), w, {(1, 0): ONE}) == {}
 
 
 def test_actions_never_return_zero_entries():

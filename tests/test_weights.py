@@ -12,6 +12,23 @@ def W(m, n, t="5/2", c="-3"):
     return wt.weight(m, n, scal(t), scal(c))
 
 
+def hwv(w):
+    return {(w.m, w.n): ONE}
+
+
+def e_pm(sign):
+    """e1 = e_x + e_y (sign 1) or e2 = e_x - e_y (sign -1), from the sl2
+    operators themselves."""
+    def op(w, vec):
+        out = wt.apply_sl2("e_x", w, vec)
+        axpy(out, scal(sign), wt.apply_sl2("e_y", w, vec).items())
+        return out
+    return op
+
+
+E1, E2 = e_pm(1), e_pm(-1)
+
+
 def test_xi_pair_decompositions_frozen():
     ih = scal(0, "1/2")
     h = scal("1/2")
@@ -37,7 +54,7 @@ def test_ex_on_small_module():
 def test_xi12_scales_highest_vector():
     for m, n in [(0, 0), (1, 0), (2, 3)]:
         w = W(m, n)
-        out = wt.act_g0((0, mask_of((1, 2))), w, wt.hwv(w))
+        out = wt.act_g0((0, mask_of((1, 2))), w, hwv(w))
         expect = scal(0, Fraction(m + n, 2))
         assert out == ({(m, n): expect} if not expect.is_zero() else {})
 
@@ -109,27 +126,22 @@ def test_highest_vector_is_the_whole_singular_space():
             col = {k: j for j, k in enumerate(keys)}
             by_target = {}
             for j, key in enumerate(keys):
-                for opi, op in enumerate((wt.e1, wt.e2)):
+                for opi, op in enumerate((E1, E2)):
                     img = op(w, {key: ONE})
                     for kk, c in img.items():
                         by_target.setdefault((opi, kk), {})[j] = c
             ker = sparse_nullspace(by_target.values(), len(keys))
             assert len(ker) == 1
             vec = {keys[j]: c for j, c in ker[0].items()}
-            assert vec == wt.hwv(w)
-            assert wt.e1(w, wt.hwv(w)) == {} and wt.e2(w, wt.hwv(w)) == {}
-
-
-def test_dim():
-    assert W(3, 2).dim() == 12
-    assert len(W(3, 2).keys()) == 12
+            assert vec == hwv(w)
+            assert E1(w, hwv(w)) == {} and E2(w, hwv(w)) == {}
 
 
 def test_lowering_word_reproduces_monomials():
     w = W(2, 3)
     for key in w.keys():
         coeff, (px, py) = wt.lowering_word(key, w)
-        vec = wt.hwv(w)
+        vec = hwv(w)
         for _ in range(px):
             vec = wt.apply_sl2("f_x", w, vec)
         for _ in range(py):
@@ -158,7 +170,7 @@ def test_sl2_in_xi_table_matches_the_operators():
                     combo = [(c, mask_of(pair))
                              for pair, c in wt.SL2_IN_XI[op].items()]
                     assert combo_on(combo, w, vec) == wt.apply_sl2(op, w, vec)
-                for (tag, g), e in zip(sv._E_ROWS, (wt.e1, wt.e2)):
+                for (tag, g), e in zip(sv._E_ROWS, (E1, E2)):
                     combo = [(c, pmask) for (_, pmask), c in g.items()]
                     assert combo_on(combo, w, vec) == e(w, vec), tag
 
