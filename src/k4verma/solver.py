@@ -18,8 +18,13 @@ generators, which with e1 and e2 generate the positive part, and then
 passes each vector of that small kernel through the full conditions.
 The dual route is the unreduced referee: it applies the odd reflection T
 to each plain column and imposes every condition through the dual-form
-action.  Both routes report in the plain columns, so their kernels must
-coincide.
+action.  mu enters that action only through t and C, which act on F by
+scalars and keep the monomial, so each column's condition images split
+as free + mu_t * t + mu_C * C.  The free part is cached once per (m, n,
+column key), and the t and C parts, which do not depend on the shape,
+once per (Theta power, eta mask); a dual solve at a cached shape only
+combines them.  Both routes report in the plain columns, so their
+kernels must coincide.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
+from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, acc, axpy, scal,
                     sparse_nullspace)
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
 from .verma import LambdaVal, VKey, VVec, degree, \
@@ -138,15 +143,88 @@ def _hw_basis(m: int, n: int, d: int) -> tuple[VVec, ...]:
     return _HW_BASES[shape]
 
 
+# The dual route's condition images of each unit column, split by how mu
+# enters: t and C act on F by the scalars mu_t and mu_C and keep the
+# monomial, and no other token carries mu.  Each part is kept as parallel
+# tuples (row keys, scalars) of its nonzero entries, a row key being
+# (condition, output key); _ROW_KEYS holds one copy of each, since a few
+# hundred keys recur in every column.
+_DUAL_FREE: dict[tuple[int, int, VKey], tuple[tuple, tuple]] = {}
+_DUAL_MU: dict[tuple[int, int], tuple[tuple[tuple, tuple], ...]] = {}
+_ROW_KEYS: dict = {}
+
+
+def _dual_images(vk: VKey, wt: Weight) -> tuple[tuple, tuple]:
+    """Condition images of T of the unit column vk, through the dual-form
+    action at weight wt, as (row keys, scalars)."""
+    tcol = transform_T({vk: ONE})
+    conds = _conditions({imask: dual_lambda_action(imask, tcol, wt)
+                         for imask in ALL_MASKS})
+    keys = [(cond, out) for cond, vec in conds.items() for out in vec]
+    return (tuple(map(_ROW_KEYS.setdefault, keys, keys)),
+            tuple([c for vec in conds.values() for c in vec.values()]))
+
+
+def _dual_free(m: int, n: int, vk: VKey) -> tuple[tuple, tuple]:
+    """The mu-free part of the column vk over F(m, n): its images at
+    mu = 0, where the t and C tokens act as zero; filled on first use."""
+    key = (m, n, vk)
+    if key not in _DUAL_FREE:
+        _DUAL_FREE[key] = _dual_images(vk, weight(m, n, 0, 0))
+    return _DUAL_FREE[key]
+
+
+def _dual_mu(k: int, l: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The mu_t and mu_C parts of the columns Theta^k eta_l (x) mon, keyed
+    on mon = (0, 0).  t and C keep the monomial and act by scalars, so
+    these do not depend on the shape: each is taken on F(0, 0) as the
+    images at mu = (1, 0) and (0, 1) minus those at mu = 0; filled on
+    first use."""
+    if (k, l) not in _DUAL_MU:
+        vk = (k, l, (0, 0))
+        parts = []
+        for mu in ((1, 0), (0, 1)):
+            diff = dict(zip(*_dual_images(vk, weight(0, 0, *mu))))
+            for rk, c in zip(*_dual_free(0, 0, vk)):
+                acc(diff, rk, -c)
+            parts.append((tuple(diff), tuple(diff.values())))
+        _DUAL_MU[(k, l)] = tuple(parts)
+    return _DUAL_MU[(k, l)]
+
+
+def _dual_rows(wt: Weight, cols: Sequence[VVec]) -> list[dict]:
+    """Rows of the dual route, combined from the cached parts of each
+    column, a multiple of one basis key: free + mu_t * t + mu_C * C, the
+    mu parts relabeled with the key's monomial."""
+    mus = [(mu, i) for i, mu in enumerate((wt.mu_t, wt.mu_C)) if mu]
+    rows: dict = {}
+    for ci, col in enumerate(cols):
+        ((k, l, mon), coef), = col.items()
+        keys, vals = _dual_free(wt.m, wt.n, (k, l, mon))
+        if coef != ONE:
+            vals = [c * coef for c in vals]
+        # one key per column, so no free entry meets another of column ci
+        for rk, c in zip(keys, vals):
+            row = rows.get(rk)
+            if row is None:
+                rows[rk] = {ci: c}
+            else:
+                row[ci] = c
+        parts = _dual_mu(k, l)
+        for mu, i in mus:
+            f = mu * coef
+            for (cond, (k2, l2, _)), c in zip(*parts[i]):
+                acc(rows.setdefault((cond, (k2, l2, mon)), {}), ci, c * f)
+    return [row for row in rows.values() if row]
+
+
 def _assemble_rows(wt: Weight, cols: Sequence[VVec], dual: bool) -> list[dict]:
     """One row per condition image of each column vector.  The dual route
     acts on T of each column and imposes every condition; the primal
     route takes hw vectors, which e1 and e2 already kill, and imposes the
     shortcut generators."""
     if dual:
-        return _rows(_conditions({imask: dual_lambda_action(imask, tcol, wt)
-                                  for imask in ALL_MASKS})
-                     for tcol in map(transform_T, cols))
+        return _dual_rows(wt, cols)
     return _table_rows(_SHORTCUT, wt, cols)
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from k4verma import solver as sv
 from k4verma.annihilation import CKEY
 from k4verma.exact import I, ONE, scal
 from k4verma.grassmann import ALL_MASKS, MASK_ALL, mask_of, size
-from k4verma.verma import _primal_template, act, degree, theta_mul, vvec_add
+from k4verma.verma import _primal_template, act, degree, \
+    dual_lambda_action, theta_mul, transform_T, vvec_add
 from k4verma.weights import weight
 
 F = Fraction
@@ -105,9 +107,62 @@ def test_classify_detects_a_broken_dual_route(monkeypatch):
         return {lp: vec for lp, vec in dual(imask, v, wt).items() if lp != 1}
 
     monkeypatch.setattr(sv, "dual_lambda_action", no_lambda_one)
+    # fresh caches fill through the patch and are dropped at teardown
+    monkeypatch.setattr(sv, "_DUAL_FREE", {})
+    monkeypatch.setattr(sv, "_DUAL_MU", {})
     with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
                                            r"\(0,0,0,0\) degree 2"):
         sv.classify(sv.FAMILIES["1a"].weight_at(0, 0))
+
+
+@pytest.mark.parametrize("corrupt", ["no-mu-t-parts", "one-free-sign"])
+def test_classify_detects_a_corrupted_dual_cache(monkeypatch, corrupt):
+    # negative control: after a classify fills both caches at 1b(1, 0),
+    # either every cached mu_t part is dropped or one mu-free entry of
+    # shape (1, 0) changes sign; copies are patched in, so the corruption
+    # is dropped at teardown
+    wt = sv.FAMILIES["1b"].weight_at(1, 0)
+    sv.classify(wt)
+    if corrupt == "no-mu-t-parts":
+        monkeypatch.setattr(sv, "_DUAL_MU", {
+            kl: (((), ()), c_part) for kl, (_, c_part) in sv._DUAL_MU.items()})
+    else:
+        key = (1, 0, sv.candidate_keys(wt, 1)[0])
+        keys, vals = sv._DUAL_FREE[key]
+        monkeypatch.setattr(sv, "_DUAL_FREE", {
+            **sv._DUAL_FREE, key: (keys, (-vals[0], *vals[1:]))})
+    with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
+                                           r"\(1,0,3/2,-3/2\) degree 1"):
+        sv.classify(wt)
+
+
+def _direct_rows(wt, cols):
+    """The rows of a direct dual_lambda_action on T of each unit column,
+    as a multiset of {column: c} rows."""
+    def conditions(tcol):
+        return sv._conditions({imask: dual_lambda_action(imask, tcol, wt)
+                               for imask in ALL_MASKS})
+    rows = sv._rows(conditions(transform_T({vk: ONE})) for vk in cols)
+    return Counter(frozenset(row.items()) for row in rows)
+
+
+def test_dual_cache_splits_by_how_mu_enters():
+    # referee of the split: at a Gaussian mu that no sweep uses, the rows
+    # combined from the cached images equal those of a direct evaluation,
+    # on every column of every shape m, n <= 3 at degrees 1-3 and on the
+    # nmax = 5 Theta-ansatz columns of criterion 09; the mu parts, taken
+    # on F(0, 0), serve every shape
+    mu = (scal(F(7, 3), F(1, 2)), scal(F(-4, 5), 2))
+    cases = [(weight(m, n, *mu), sv.candidate_keys(weight(m, n, 0, 0), d))
+             for m in range(4) for n in range(4) for d in (1, 2, 3)]
+    for m, n in ((1, 0), (0, 4)):
+        wt = weight(m, n, *mu)
+        cases.append((wt, sorted((k, l, mon) for k in range(6)
+                                 for l in ALL_MASKS for mon in wt.keys())))
+    for wt, cols in cases:
+        got = sv._assemble_rows(wt, [{vk: ONE} for vk in cols], True)
+        assert Counter(frozenset(row.items()) for row in got) == \
+            _direct_rows(wt, cols), (wt, len(cols))
 
 
 def test_hw_route_matches_the_unreduced_dual_route():

@@ -35,20 +35,22 @@ def test_bench_tracer_installs(monkeypatch):
         tracing.install(tr)
         stats = tracing.cache_stats()
         rep = solver.solve(weights.weight(0, 0, 0, 0), 1)
-        # the dual route too: the tracer takes len() of its assembled rows
+        # the dual route too: the tracer takes len() of its assembled rows,
+        # also where a second weight of the shape reads the cached images
         dual = solver.solve(weights.weight(0, 0, 0, 0), 1, dual=True)
+        warm = solver.solve(weights.weight(0, 0, 3, 7), 1, dual=True)
     finally:
         # names the tracer added (wraps of names a module does not use)
         for m in MODULES:
             for name in set(vars(m)) - before[m]:
                 delattr(m, name)
     assert set(tracing.TEMPLATES) <= set(stats)
-    assert rep.labels == dual.labels == ("1a",)
+    assert rep.labels == dual.labels == ("1a",) and warm.kernel_dim == 0
     spans = {name for _, name in tr.agg}
     assert {"solver.solve", "solver.assemble", "exact.reduce",
             "solver.canonical", "solver.label", "verma.action",
             "weights.act_g0"} <= spans
-    assert tr.counts["solver.solves"] == 2
+    assert tr.counts["solver.solves"] == 3
     assert tr.counts["solver.rows"] == tr.counts["exact.rows_in"] > 0
 
 

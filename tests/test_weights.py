@@ -188,6 +188,17 @@ def test_warm_solve_makes_no_sl2_calls(monkeypatch):
         return apply_sl2(*args)
 
     monkeypatch.setattr(wt, "apply_sl2", counted)
+    # the dual route's column images are cached per shape too, so the
+    # second weight makes no dual action calls either
+    dual = sv.dual_lambda_action
+    dual_calls = []
+
+    def dual_counted(*args):
+        dual_calls.append(args[0])
+        return dual(*args)
+
+    monkeypatch.setattr(sv, "dual_lambda_action", dual_counted)
     again = sv.solve(wt.weight(1, 0, scal(3), scal(7)), 2, dual=True)
+    assert dual_calls == []
     assert sv.solve(w, 2, dual=True) == first
     assert again.kernel_dim == 0 and calls == []
