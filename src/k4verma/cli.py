@@ -164,6 +164,8 @@ def _nonneg_int(text: str) -> int:
 
 
 def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     if not os.path.isdir(os.path.dirname(text) or "."):

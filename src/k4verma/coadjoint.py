@@ -21,7 +21,7 @@ from .conformal import AxiomReport
 from .exact import ExactScalar, ONE, RowReducer, axpy, scal
 from .grassmann import ALL_MASKS, indices_of, mask_of
 from .solver import candidate_keys
-from .verma import VVec, act_elem, vvec_add
+from .verma import VVec, act_elem
 from .weights import weight
 
 # dual elements reuse the (t-power, mask) keys of the primal basis
@@ -139,9 +139,10 @@ def check_phi_iso(max_degree: int) -> IsoReport:
                for g in EQUIVARIANCE_GENS for v in vecs)
 
     u, v0 = vecs[0], vecs[min(3, len(vecs) - 1)]
-    combo = vvec_add({k: c * scal(2, 1) for k, c in u.items()}, v0)
-    lin_rhs = vvec_add({k: c * scal(2, 1) for k, c in phi_image(u).items()},
-                        phi_image(v0))
+    combo = {k: c * scal(2, 1) for k, c in u.items()}
+    axpy(combo, ONE, v0.items())
+    lin_rhs = {k: c * scal(2, 1) for k, c in phi_image(u).items()}
+    axpy(lin_rhs, ONE, phi_image(v0).items())
     return IsoReport(max_degree, tuple(dims), tuple(bij), sample_degree,
                      equi, phi_image(combo) == lin_rhs)
 

@@ -16,15 +16,16 @@ its slice; a basis of that span is cached once per shape (m, n, d).
 The primal route solves on that basis: it imposes the two shortcut
 generators, which with e1 and e2 generate the positive part, and then
 passes each vector of that small kernel through the full conditions.
-The dual route is the unreduced referee: it applies the odd reflection T
-to each plain column and imposes every condition through the dual-form
-action.  mu enters that action only through t and C, which act on F by
-scalars and keep the monomial, so each column's condition images split
-as free + mu_t * t + mu_C * C.  The free part is cached once per (m, n,
-column key), and the t and C parts, which do not depend on the shape,
-once per (Theta power, eta mask); a dual solve at a cached shape only
-combines them.  Both routes report in the plain columns, so their
-kernels must coincide.
+The dual route is the referee: it applies the odd reflection T to each
+plain column and imposes every condition through the dual-form action.
+mu enters that action only through t and C, which act on F by scalars
+and keep the monomial, so a row that no column's mu part reaches is the
+same at every mu.  Once per shape, the dual route reduces those rows to
+their kernel K0 (at most four vectors for m, n <= 3) and splits the
+other rows on K0 as A0 + mu_t At + mu_C AC; a dual solve combines these
+at its mu and reduces on K0.  Both routes report in the plain columns,
+so their kernels must coincide.  The Theta-ansatz of the degree bound
+mixes degrees and evaluates the full dual system directly.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, acc, axpy, scal,
+from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
                     sparse_nullspace)
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
 from .verma import LambdaVal, VKey, VVec, degree, \
-    dual_lambda_action, lambda_action, transform_T, vvec_add, w_mul
+    dual_lambda_action, lambda_action, transform_T, w_mul
 from .weights import SL2_IN_XI, Weight, weight
 
 
@@ -105,127 +107,119 @@ def candidate_keys(wt: Weight, deg: int) -> list[VKey]:
     return sorted(out)
 
 
-def _rows(images) -> list[dict]:
-    """One row per (condition, output key), from each column's condition
+def _rows(images) -> dict[tuple, dict[int, ExactScalar]]:
+    """Rows keyed by (condition, output key), from each column's condition
     images in column order."""
     rows: dict[tuple, dict[int, ExactScalar]] = {}
     for ci, conds in enumerate(images):
         for cond, vec in conds.items():
             for out_vk, c in vec.items():
                 rows.setdefault((cond, out_vk), {})[ci] = c
-    return list(rows.values())
+    return rows
 
 
 def _table_rows(table, wt: Weight, cols: Sequence[VVec]) -> list[dict]:
     """Rows of the images of a table's elements on each column vector."""
     masks = {imask for _, g in table for _, imask in g}
-    return _rows(_images(table, {imask: lambda_action(imask, col, wt)
-                                 for imask in masks}) for col in cols)
+    return list(_rows(_images(table, {imask: lambda_action(imask, col, wt)
+                                      for imask in masks})
+                      for col in cols).values())
 
 
-_HW_BASES: dict[tuple[int, int, int], tuple[VVec, ...]] = {}
+def _direct_rows(wt: Weight, cols: Sequence[VVec]) -> dict:
+    """The full dual system on the column vectors, evaluated directly at
+    wt: every condition image of T of each column through the dual-form
+    action."""
+    return _rows(_conditions({imask: dual_lambda_action(imask, tcol, wt)
+                              for imask in ALL_MASKS})
+                 for tcol in map(transform_T, cols))
 
 
+@lru_cache(maxsize=None)
 def _hw_basis(m: int, n: int, d: int) -> tuple[VVec, ...]:
     """A basis of the e1/e2 kernel on candidate_keys at degree d over
-    F(m, n), filled on first use.  The lambda^0 terms of the pair-mask
-    templates carry no t or C token, so one basis, computed at mu = 0,
-    serves every mu."""
-    shape = (m, n, d)
-    if shape not in _HW_BASES:
-        wt = weight(m, n, 0, 0)
-        cols = candidate_keys(wt, d)
-        red = RowReducer(len(cols))
-        for row in _table_rows(_E_ROWS, wt, [{vk: ONE} for vk in cols]):
+    F(m, n).  The lambda^0 terms of the pair-mask templates carry no t or
+    C token, so one basis, computed at mu = 0, serves every mu."""
+    wt = weight(m, n, 0, 0)
+    cols = candidate_keys(wt, d)
+    red = RowReducer(len(cols))
+    for row in _table_rows(_E_ROWS, wt, [{vk: ONE} for vk in cols]):
+        red.add_row(row)
+    return tuple({cols[i]: c for i, c in vec.items()}
+                 for vec in red.nullspace())
+
+
+_MU_UNITS = ((0, 0), (1, 0), (0, 1))
+
+
+@lru_cache(maxsize=None)
+def _dual_mu(k: int, l: int) -> frozenset:
+    """The row keys that mu reaches on the column Theta^k eta_l (x) (0, 0):
+    those whose rows at mu = (1, 0) or (0, 1) differ from the row at
+    mu = 0.  t and C act on F by scalars and keep the monomial, so on a
+    column Theta^k eta_l (x) mon of any shape mu reaches these keys with
+    the output monomial (0, 0) replaced by mon."""
+    base, *moved = [_direct_rows(weight(0, 0, *mu), [{(k, l, (0, 0)): ONE}])
+                    for mu in _MU_UNITS]
+    return frozenset(key for rows in moved for key in {**base, **rows}
+                     if rows.get(key) != base.get(key))
+
+
+@dataclass(frozen=True)
+class _DualRecord:
+    """The dual route at one shape (m, n, d).  k0 is the kernel of the rows
+    that no mu reaches; those rows are the same at every mu, so every dual
+    kernel of the shape lies in K0.  rows are the other rows on K0, split
+    by how mu enters as (A0, At, AC): at mu, a row is A0 + mu_t At + mu_C AC."""
+    k0: tuple[VVec, ...]
+    rows: tuple[tuple[dict, dict, dict], ...]
+
+
+@lru_cache(maxsize=None)
+def _dual_record(m: int, n: int, d: int) -> _DualRecord:
+    """The dual route's record of the shape (m, n, d)."""
+    wt = weight(m, n, 0, 0)
+    cols = candidate_keys(wt, d)
+    reached = {(cond, (k2, l2, mon)) for k, l, mon in cols
+               for cond, (k2, l2, _) in _dual_mu(k, l)}
+    red = RowReducer(len(cols))
+    for key, row in _direct_rows(wt, [{vk: ONE} for vk in cols]).items():
+        if key not in reached:
             red.add_row(row)
-        _HW_BASES[shape] = tuple({cols[i]: c for i, c in vec.items()}
-                                 for vec in red.nullspace())
-    return _HW_BASES[shape]
-
-
-# The dual route's condition images of each unit column, split by how mu
-# enters: t and C act on F by the scalars mu_t and mu_C and keep the
-# monomial, and no other token carries mu.  Each part is kept as parallel
-# tuples (row keys, scalars) of its nonzero entries, a row key being
-# (condition, output key); _ROW_KEYS holds one copy of each, since a few
-# hundred keys recur in every column.
-_DUAL_FREE: dict[tuple[int, int, VKey], tuple[tuple, tuple]] = {}
-_DUAL_MU: dict[tuple[int, int], tuple[tuple[tuple, tuple], ...]] = {}
-_ROW_KEYS: dict = {}
-
-
-def _dual_images(vk: VKey, wt: Weight) -> tuple[tuple, tuple]:
-    """Condition images of T of the unit column vk, through the dual-form
-    action at weight wt, as (row keys, scalars)."""
-    tcol = transform_T({vk: ONE})
-    conds = _conditions({imask: dual_lambda_action(imask, tcol, wt)
-                         for imask in ALL_MASKS})
-    keys = [(cond, out) for cond, vec in conds.items() for out in vec]
-    return (tuple(map(_ROW_KEYS.setdefault, keys, keys)),
-            tuple([c for vec in conds.values() for c in vec.values()]))
-
-
-def _dual_free(m: int, n: int, vk: VKey) -> tuple[tuple, tuple]:
-    """The mu-free part of the column vk over F(m, n): its images at
-    mu = 0, where the t and C tokens act as zero; filled on first use."""
-    key = (m, n, vk)
-    if key not in _DUAL_FREE:
-        _DUAL_FREE[key] = _dual_images(vk, weight(m, n, 0, 0))
-    return _DUAL_FREE[key]
-
-
-def _dual_mu(k: int, l: int) -> tuple[tuple[tuple, tuple], ...]:
-    """The mu_t and mu_C parts of the columns Theta^k eta_l (x) mon, keyed
-    on mon = (0, 0).  t and C keep the monomial and act by scalars, so
-    these do not depend on the shape: each is taken on F(0, 0) as the
-    images at mu = (1, 0) and (0, 1) minus those at mu = 0; filled on
-    first use."""
-    if (k, l) not in _DUAL_MU:
-        vk = (k, l, (0, 0))
-        parts = []
-        for mu in ((1, 0), (0, 1)):
-            diff = dict(zip(*_dual_images(vk, weight(0, 0, *mu))))
-            for rk, c in zip(*_dual_free(0, 0, vk)):
-                acc(diff, rk, -c)
-            parts.append((tuple(diff), tuple(diff.values())))
-        _DUAL_MU[(k, l)] = tuple(parts)
-    return _DUAL_MU[(k, l)]
-
-
-def _dual_rows(wt: Weight, cols: Sequence[VVec]) -> list[dict]:
-    """Rows of the dual route, combined from the cached parts of each
-    column, a multiple of one basis key: free + mu_t * t + mu_C * C, the
-    mu parts relabeled with the key's monomial."""
-    mus = [(mu, i) for i, mu in enumerate((wt.mu_t, wt.mu_C)) if mu]
-    rows: dict = {}
-    for ci, col in enumerate(cols):
-        ((k, l, mon), coef), = col.items()
-        keys, vals = _dual_free(wt.m, wt.n, (k, l, mon))
-        if coef != ONE:
-            vals = [c * coef for c in vals]
-        # one key per column, so no free entry meets another of column ci
-        for rk, c in zip(keys, vals):
-            row = rows.get(rk)
-            if row is None:
-                rows[rk] = {ci: c}
-            else:
-                row[ci] = c
-        parts = _dual_mu(k, l)
-        for mu, i in mus:
-            f = mu * coef
-            for (cond, (k2, l2, _)), c in zip(*parts[i]):
-                acc(rows.setdefault((cond, (k2, l2, mon)), {}), ci, c * f)
-    return [row for row in rows.values() if row]
+            if red.rank == len(cols):
+                break
+    k0 = tuple({cols[i]: c for i, c in vec.items()} for vec in red.nullspace())
+    # the images of K0 at mu = 0, (1, 0) and (0, 1) are A0, A0 + At and
+    # A0 + AC
+    base, *moved = [_direct_rows(weight(m, n, *mu), k0) for mu in _MU_UNITS]
+    rows = []
+    for key in {**base, **moved[0], **moved[1]}:
+        a0 = base.get(key, {})
+        parts = [dict(at.get(key, {})) for at in moved]
+        for part in parts:
+            axpy(part, -ONE, a0.items())
+        rows.append((a0, *parts))
+    return _DualRecord(k0, tuple(rows))
 
 
 def _assemble_rows(wt: Weight, cols: Sequence[VVec], dual: bool) -> list[dict]:
-    """One row per condition image of each column vector.  The dual route
-    acts on T of each column and imposes every condition; the primal
+    """One row per condition image of each column vector.  The primal
     route takes hw vectors, which e1 and e2 already kill, and imposes the
-    shortcut generators."""
-    if dual:
-        return _dual_rows(wt, cols)
-    return _table_rows(_SHORTCUT, wt, cols)
+    shortcut generators.  The dual route takes the K0 basis of its shape's
+    record as the columns and combines the record's rows at wt's mu."""
+    if not dual:
+        return _table_rows(_SHORTCUT, wt, cols)
+    if not cols:
+        return []
+    out = []
+    for a0, at, ac in _dual_record(wt.m, wt.n, degree(cols[0])).rows:
+        row = dict(a0)
+        for mu, part in ((wt.mu_t, at), (wt.mu_C, ac)):
+            if mu:
+                axpy(row, mu, part.items())
+        if row:
+            out.append(row)
+    return out
 
 
 def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
@@ -238,11 +232,10 @@ def _canonical(vecs, cols: list[VKey]) -> tuple[VVec, ...]:
                  for lead in sorted(red.pivots))
 
 
-def _kernel(wt: Weight, cols: Sequence[VVec], dual: bool) -> list[VVec]:
-    """Assemble and reduce; a kernel basis as combinations of the column
-    vectors."""
+def _kernel(rows, cols: Sequence[VVec]) -> list[VVec]:
+    """A kernel basis of the rows, as combinations of the column vectors."""
     out = []
-    for vec in sparse_nullspace(_assemble_rows(wt, cols, dual), len(cols)):
+    for vec in sparse_nullspace(rows, len(cols)):
         v: VVec = {}
         for i, c in vec.items():
             axpy(v, c, cols[i].items())
@@ -265,19 +258,20 @@ class SingularReport:
 def solve(wt: Weight, deg: int, dual: bool = False) -> SingularReport:
     """Kernel of the singular-vector system, in plain coordinates: on the
     hw basis, each vector checked against the full conditions, or on the
-    dual route over every plain column."""
+    dual route on the K0 of the shape's record."""
     if deg < 1:
         raise ValueError("degree must be a positive integer")
-    cols = candidate_keys(wt, deg)
     if dual:
-        kern = _kernel(wt, [{vk: ONE} for vk in cols], True)
+        cols = _dual_record(wt.m, wt.n, deg).k0
     else:
-        kern = _kernel(wt, _hw_basis(wt.m, wt.n, deg), False)
+        cols = _hw_basis(wt.m, wt.n, deg)
+    kern = _kernel(_assemble_rows(wt, cols, dual), cols)
+    if not dual:
         for v in kern:
             if not verify_vector(v, wt).ok:
                 raise RuntimeError(f"a shortcut kernel vector fails the full "
                                    f"conditions at weight {wt} degree {deg}")
-    canon = _canonical(kern, cols)
+    canon = _canonical(kern, candidate_keys(wt, deg))
     labels = tuple(match_label(wt, deg, v) for v in canon)
     return SingularReport(wt, deg, canon, labels)
 
@@ -363,7 +357,7 @@ def build_theorem_vector(label: str, m: int, n: int) -> tuple[Weight, VVec]:
         v: VVec = {(0, 0, (m + da, n + db)): scal(sign)}
         for lab in reversed(word):
             v = w_mul(lab, v)
-        out = vvec_add(out, v)
+        axpy(out, ONE, v.items())
     return wt, out
 
 
@@ -502,8 +496,9 @@ def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
     """
     cols = sorted((k, l, mon) for k in range(nmax + 1)
                   for l in ALL_MASKS for mon in wt.keys())
-    kern = _canonical(map(transform_T, _kernel(wt, [{vk: ONE} for vk in cols],
-                                               True)), cols)
+    unit = [{vk: ONE} for vk in cols]
+    kern = _canonical(map(transform_T, _kernel(_direct_rows(wt, unit).values(),
+                                               unit)), cols)
     max_seen = 0
     shape_ok = True
     no_scalar = True

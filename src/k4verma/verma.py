@@ -50,12 +50,6 @@ LambdaVal = dict[int, VVec]
 # (1, 0) for t, an.CKEY for C and (0, pair mask) for xi_pair
 
 
-def vvec_add(a: VVec, b: VVec, bscale=1) -> VVec:
-    out = dict(a)
-    axpy(out, ExactScalar._coerce(bscale), b.items())
-    return out
-
-
 def degree(v: VVec):
     degs = {2 * k + size(l) for (k, l, _), c in v.items() if not c.is_zero()}
     if not degs:

@@ -314,7 +314,7 @@ def test_criterion_09_no_higher_degrees():
 
 
 def test_criterion_09_fails_on_a_dual_action_without_lambda_zero(
-        monkeypatch):
+        fresh_solver_caches, monkeypatch):
     # negative control: the dual action, which the Theta-ansatz solves
     # through, loses every lambda^0 coefficient; the kernel grows at both
     # weights, and the criterion must fail naming each label
@@ -324,10 +324,6 @@ def test_criterion_09_fails_on_a_dual_action_without_lambda_zero(
         return {lp: vec for lp, vec in dual(imask, v, wt).items() if lp}
 
     monkeypatch.setattr(sv, "dual_lambda_action", no_lambda_zero)
-    # the dual route reads its column images from two caches: start them
-    # empty, so they fill through the patch and are dropped at teardown
-    monkeypatch.setattr(sv, "_DUAL_FREE", {})
-    monkeypatch.setattr(sv, "_DUAL_MU", {})
     with contextlib.redirect_stdout(io.StringIO()), \
             pytest.raises(AssertionError) as exc:
         test_criterion_09_no_higher_degrees()

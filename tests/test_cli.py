@@ -285,6 +285,18 @@ def test_negative_bounds_are_usage_errors(tmp_path):
         assert message in usage_error(tmp_path, *argv), argv
 
 
+def test_empty_out_path_is_a_usage_error(tmp_path):
+    # an empty --out would otherwise fall back to stdout or to graph.json
+    for argv in (["axioms", "--max-tpow", "0", "--max-dpow", "0"],
+                 ["search", "--weight", "0,0,0,0", "--degree", "1"],
+                 ["verify-theorems", "--max-mn", "0", "--negatives", "0"],
+                 ["complexes", "--max-mn", "0"],
+                 ["coadjoint", "--max-degree", "0"]):
+        assert "the path is empty" in usage_error(tmp_path, *argv, "--out",
+                                                  ""), argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_quotient_morphism_failure_names_its_pairs(capsys, monkeypatch):
     # negative control: phi doubles xi_1, so [xi_1, xi_1] = -xi_empty breaks
     phi = an.phi

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +6,7 @@ from k4verma import solver as sv
 from k4verma.annihilation import CKEY
 from k4verma.exact import I, ONE, scal
 from k4verma.grassmann import ALL_MASKS, MASK_ALL, mask_of, size
-from k4verma.verma import _primal_template, act, degree, \
-    dual_lambda_action, theta_mul, transform_T, vvec_add
+from k4verma.verma import _primal_template, act, degree, theta_mul
 from k4verma.weights import weight
 
 F = Fraction
@@ -99,7 +97,8 @@ def test_classify_cross_checks_both_routes():
     assert by_degree[2].labels == ("2d",)
 
 
-def test_classify_detects_a_broken_dual_route(monkeypatch):
+def test_classify_detects_a_broken_dual_route(fresh_solver_caches,
+                                              monkeypatch):
     # negative control: the dual action loses its lambda^1 coefficients
     dual = sv.dual_lambda_action
 
@@ -107,78 +106,99 @@ def test_classify_detects_a_broken_dual_route(monkeypatch):
         return {lp: vec for lp, vec in dual(imask, v, wt).items() if lp != 1}
 
     monkeypatch.setattr(sv, "dual_lambda_action", no_lambda_one)
-    # fresh caches fill through the patch and are dropped at teardown
-    monkeypatch.setattr(sv, "_DUAL_FREE", {})
-    monkeypatch.setattr(sv, "_DUAL_MU", {})
     with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
                                            r"\(0,0,0,0\) degree 2"):
         sv.classify(sv.FAMILIES["1a"].weight_at(0, 0))
 
 
-@pytest.mark.parametrize("corrupt", ["no-mu-t-parts", "one-free-sign"])
-def test_classify_detects_a_corrupted_dual_cache(monkeypatch, corrupt):
-    # negative control: after a classify fills both caches at 1b(1, 0),
-    # either every cached mu_t part is dropped or one mu-free entry of
-    # shape (1, 0) changes sign; copies are patched in, so the corruption
-    # is dropped at teardown
+@pytest.mark.parametrize("corrupt",
+                         ["no-mu-t-parts", "one-free-sign", "one-k0-sign"])
+def test_classify_detects_a_corrupted_dual_cache(fresh_solver_caches,
+                                                 corrupt):
+    # negative control: after a classify fills the record of shape
+    # (1, 0, 1) at 1b(1, 0), its rows lose every mu_t part, or one entry
+    # of A0 or of a K0 vector changes sign; the fixture drops the record.
+    # The kernel there is the second K0 vector, so both signs are on it.
     wt = sv.FAMILIES["1b"].weight_at(1, 0)
     sv.classify(wt)
+    rec = sv._dual_record(1, 0, 1)
     if corrupt == "no-mu-t-parts":
-        monkeypatch.setattr(sv, "_DUAL_MU", {
-            kl: (((), ()), c_part) for kl, (_, c_part) in sv._DUAL_MU.items()})
+        for _, at, _ in rec.rows:
+            at.clear()
+    elif corrupt == "one-free-sign":
+        a0 = next(a0 for a0, _, _ in rec.rows if 1 in a0)
+        a0[1] = -a0[1]
     else:
-        key = (1, 0, sv.candidate_keys(wt, 1)[0])
-        keys, vals = sv._DUAL_FREE[key]
-        monkeypatch.setattr(sv, "_DUAL_FREE", {
-            **sv._DUAL_FREE, key: (keys, (-vals[0], *vals[1:]))})
+        vec = rec.k0[1]
+        key = next(iter(vec))
+        vec[key] = -vec[key]
     with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
                                            r"\(1,0,3/2,-3/2\) degree 1"):
         sv.classify(wt)
 
 
-def _direct_rows(wt, cols):
-    """The rows of a direct dual_lambda_action on T of each unit column,
-    as a multiset of {column: c} rows."""
-    def conditions(tcol):
-        return sv._conditions({imask: dual_lambda_action(imask, tcol, wt)
-                               for imask in ALL_MASKS})
-    rows = sv._rows(conditions(transform_T({vk: ONE})) for vk in cols)
-    return Counter(frozenset(row.items()) for row in rows)
+GAUSS_MU = (scal(F(7, 3), F(1, 2)), scal(F(-4, 5), 2))
 
 
-def test_dual_cache_splits_by_how_mu_enters():
-    # referee of the split: at a Gaussian mu that no sweep uses, the rows
-    # combined from the cached images equal those of a direct evaluation,
-    # on every column of every shape m, n <= 3 at degrees 1-3 and on the
-    # nmax = 5 Theta-ansatz columns of criterion 09; the mu parts, taken
-    # on F(0, 0), serve every shape
-    mu = (scal(F(7, 3), F(1, 2)), scal(F(-4, 5), 2))
-    cases = [(weight(m, n, *mu), sv.candidate_keys(weight(m, n, 0, 0), d))
-             for m in range(4) for n in range(4) for d in (1, 2, 3)]
-    for m, n in ((1, 0), (0, 4)):
-        wt = weight(m, n, *mu)
-        cases.append((wt, sorted((k, l, mon) for k in range(6)
-                                 for l in ALL_MASKS for mon in wt.keys())))
-    for wt, cols in cases:
-        got = sv._assemble_rows(wt, [{vk: ONE} for vk in cols], True)
-        assert Counter(frozenset(row.items()) for row in got) == \
-            _direct_rows(wt, cols), (wt, len(cols))
+def _referee(wt, d, mu_free=False):
+    """Fail, naming the shape, unless the staged dual kernel, the primal
+    kernel and the kernel of the direct full dual system agree at (wt, d);
+    with mu_free, also unless the direct rows outside the keys that
+    _dual_mu names, relabeled with each column's monomial, equal the
+    direct rows at mu = 0."""
+    shape = (wt.m, wt.n, d)
+    cols = sv.candidate_keys(wt, d)
+    unit = [{vk: ONE} for vk in cols]
+    direct = sv._direct_rows(wt, unit)
+    kern = sv._canonical(sv._kernel(direct.values(), unit), cols)
+    assert sv.solve(wt, d, dual=True).kernel == kern, shape
+    assert sv.solve(wt, d).kernel == kern, shape
+    if mu_free:
+        reached = {(cond, (k2, l2, mon)) for k, l, mon in cols
+                   for cond, (k2, l2, _) in sv._dual_mu(k, l)}
+        at_zero = sv._direct_rows(weight(wt.m, wt.n, 0, 0), unit)
+        assert {key: row for key, row in direct.items()
+                if key not in reached} == \
+            {key: row for key, row in at_zero.items()
+             if key not in reached}, shape
 
 
 def test_hw_route_matches_the_unreduced_dual_route():
-    # every shape of the gate at a mu that no sweep uses (thirds and
-    # fifths), then one member of each family at its degree
+    # the referee of both routes: every shape m, n <= 3 at degrees 1-5 at a
+    # Gaussian mu that no sweep uses, where the rows no mu reaches must not
+    # move either (so the mu keys taken on F(0, 0) serve every shape), then
+    # one member of each family at its degree
     for m in range(4):
         for n in range(4):
-            wt = weight(m, n, F(7, 3), F(-4, 5))
             for d in range(1, 6):
-                assert sv.solve(wt, d).kernel == \
-                    sv.solve(wt, d, dual=True).kernel, (wt, d)
+                _referee(weight(m, n, *GAUSS_MU), d, mu_free=True)
     for label, fam in sv.FAMILIES.items():
         wt = fam.weight_at(fam.box[0], fam.box[2])
-        rep = sv.solve(wt, fam.deg)
-        assert rep.labels == (label,)
-        assert rep.kernel == sv.solve(wt, fam.deg, dual=True).kernel, label
+        assert sv.solve(wt, fam.deg).labels == (label,)
+        _referee(wt, fam.deg)
+    # the rows no mu reaches already cut each slice down to a few vectors
+    dims = [len(sv._dual_record(m, n, d).k0)
+            for m in range(4) for n in range(4) for d in range(1, 6)]
+    assert (sum(dims), max(dims)) == (63, 4)
+
+
+def test_referee_fails_on_a_mu_key_treated_as_pure(fresh_solver_caches,
+                                                   monkeypatch):
+    # negative control: one row key of shape (0, 0, 2) that mu reaches, and
+    # whose row at mu = 0 vanishes on neither the 2a nor the 2b member at
+    # (0, 0), leaves every column's mu keys, so the record imposes its
+    # mu = 0 row as a pure one and K0 loses both members
+    wt0 = weight(0, 0, 0, 0)
+    members = [sv.build_theorem_vector(label, 0, 0) for label in ("2a", "2b")]
+    at_zero = sv._direct_rows(wt0, [v for _, v in members])
+    key = next(key for k, l, _ in sv.candidate_keys(wt0, 2)
+               for key in sv._dual_mu(k, l) if len(at_zero.get(key, ())) == 2)
+    dual_mu = sv._dual_mu
+    monkeypatch.setattr(sv, "_dual_mu", lambda k, l: dual_mu(k, l) - {key})
+    for wt, mu_free in ((weight(0, 0, *GAUSS_MU), True),
+                        *((wt, False) for wt, _ in members)):
+        with pytest.raises(AssertionError, match=r"\(0, 0, 2\)"):
+            _referee(wt, 2, mu_free)
 
 
 def test_hw_basis_is_mu_free_and_sized_per_shape():
@@ -219,11 +239,13 @@ def test_classify_detects_a_short_hw_basis(monkeypatch):
     # member at (2, 0) needs, so the primal route misses it
     wt, v = sv.build_theorem_vector("2c", 2, 0)
     shape = (2, 0, 2)
-    basis = sv._hw_basis(*shape)
+    hw_basis = sv._hw_basis
+    basis = hw_basis(*shape)
     cols = sv.candidate_keys(wt, 2)
     drops = [basis[:i] + basis[i + 1:] for i in range(len(basis))]
     rest = next(r for r in drops if len(sv._canonical([*r, v], cols)) > len(r))
-    monkeypatch.setitem(sv._HW_BASES, shape, rest)
+    monkeypatch.setattr(sv, "_hw_basis",
+                        lambda *s: rest if s == shape else hw_basis(*s))
     with pytest.raises(RuntimeError, match=r"dual route disagrees at weight "
                                            r"\(2,0,3,-1\) degree 2"):
         sv.classify(wt)
@@ -274,7 +296,7 @@ def test_verify_vector_rejects_shifted_weight():
 
 def test_verify_vector_requires_homogeneous_input():
     wt, v = sv.build_theorem_vector("1a", 0, 0)
-    mixed = vvec_add(v, {(1, 0, (0, 0)): ONE})
+    mixed = {**v, (1, 0, (0, 0)): ONE}
     assert degree(mixed) == "mixed"
     with pytest.raises(ValueError):
         sv.verify_vector(mixed, wt)

@@ -36,7 +36,9 @@ def test_bench_tracer_installs(monkeypatch):
         stats = tracing.cache_stats()
         rep = solver.solve(weights.weight(0, 0, 0, 0), 1)
         # the dual route too: the tracer takes len() of its assembled rows,
-        # also where a second weight of the shape reads the cached images
+        # the shape record's rows on K0, also where a second weight of the
+        # shape reuses that record; the record's own reduction calls the
+        # reducer directly, so it adds to neither count
         dual = solver.solve(weights.weight(0, 0, 0, 0), 1, dual=True)
         warm = solver.solve(weights.weight(0, 0, 3, 7), 1, dual=True)
     finally:

@@ -188,8 +188,8 @@ def test_warm_solve_makes_no_sl2_calls(monkeypatch):
         return apply_sl2(*args)
 
     monkeypatch.setattr(wt, "apply_sl2", counted)
-    # the dual route's column images are cached per shape too, so the
-    # second weight makes no dual action calls either
+    # the dual route keeps one record per shape too, so the second weight
+    # only combines that record's rows and makes no dual action calls
     dual = sv.dual_lambda_action
     dual_calls = []
 
