@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,45 @@ def test_hw_route_matches_the_unreduced_dual_route():
     dims = [len(sv._dual_record(m, n, d).k0)
             for m in range(4) for n in range(4) for d in range(1, 6)]
     assert (sum(dims), max(dims)) == (63, 4)
+
+
+def _multiset(rows):
+    return Counter(frozenset(row.items()) for row in rows)
+
+
+def test_dual_cache_splits_by_how_mu_enters():
+    # referee of the split: at a Gaussian mu that no sweep uses, the rows
+    # each shape's record combines as A0 + mu_t At + mu_C AC equal, as a
+    # multiset, the direct rows on its K0, for every shape m, n <= 3 at
+    # degrees 1-5
+    for m in range(4):
+        for n in range(4):
+            wt = weight(m, n, *GAUSS_MU)
+            for d in range(1, 6):
+                k0 = sv._dual_record(m, n, d).k0
+                assert _multiset(sv._assemble_rows(wt, k0, True)) == \
+                    _multiset(sv._direct_rows(wt, k0).values()), (m, n, d)
+    # the mu keys taken on F(0, 0) serve columns of every Theta power too:
+    # on the nmax = 5 Theta-ansatz columns at the two weights of criterion
+    # 09, an entry moves with mu only at a key that _dual_mu names for
+    # its column
+    for m, n in ((1, 0), (0, 4)):
+        wt = weight(m, n, *GAUSS_MU)
+        cols = sorted((k, l, mon) for k in range(6) for l in ALL_MASKS
+                      for mon in wt.keys())
+        unit = [{vk: ONE} for vk in cols]
+        direct = sv._direct_rows(wt, unit)
+        at_zero = sv._direct_rows(weight(m, n, 0, 0), unit)
+        moved = {(key, ci) for key in {**direct, **at_zero}
+                 for ci in {**direct.get(key, {}), **at_zero.get(key, {})}
+                 if direct.get(key, {}).get(ci) !=
+                 at_zero.get(key, {}).get(ci)}
+        assert moved, (m, n)
+        for (cond, (k2, l2, mon2)), ci in moved:
+            k, l, mon = cols[ci]
+            assert mon2 == mon and \
+                (cond, (k2, l2, (0, 0))) in sv._dual_mu(k, l), \
+                ((m, n), cols[ci], cond)
 
 
 def test_referee_fails_on_a_mu_key_treated_as_pure(fresh_solver_caches,
