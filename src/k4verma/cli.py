@@ -206,48 +206,38 @@ def _wrong_degree(rep: sv.SingularReport) -> dict | None:
             "expected": expect, "labels": list(rep.labels)}
 
 
+def _entry(name: str, reps, vectors: dict, **payload) -> dict:
+    """An entry over the solves at one weight and the verify_vector reports
+    of the table vectors there, by instance: ok when each kernel is the
+    classified one and each vector is singular, else naming each witness."""
+    witness = {"wrong_degrees": [w for w in map(_wrong_degree, reps) if w],
+               "failing_vectors": [
+                   {"instance": s, "generators": list(ver.failures)}
+                   for s, ver in vectors.items() if not ver.ok]}
+    return _check(name, not any(witness.values()), **payload,
+                  **{k: v for k, v in witness.items() if v})
+
+
 def cmd_verify_theorems(args) -> int:
     t0 = time.time()
+    try:
+        negatives = sv.off_list_weights(args.max_mn, args.negatives, args.seed)
+    except ValueError as exc:
+        build_parser().error(f"--negatives: {exc}")
     table = sv.table_weights(args.max_mn)
-
-    def job(item):
-        wt, instances = item
-        results = sv.classify(wt)
-        witness: dict = {}
-        for d in (1, 2, 3):
-            wrong = _wrong_degree(results[d])
-            if wrong:
-                witness.setdefault("wrong_degrees", []).append(wrong)
-        for lab, m, n in instances:
-            ver = sv.verify_vector(sv.build_theorem_vector(lab, m, n)[1], wt)
-            if not ver.ok:
-                witness.setdefault("failing_vectors", []).append(
-                    {"instance": f"{lab}({m},{n})",
-                     "generators": list(ver.failures)})
-        return _check(f"weight {wt}", not witness,
-                      instances=[f"{lab}({m},{n})" for lab, m, n in instances],
-                      **witness)
-
-    checks = [job(item) for item in sorted(
-        table.items(), key=lambda kv: mo._node_sort_key(kv[0]))]
-
-    def edge_job(label, wt):
-        d = sv.FAMILIES[label].deg
-        rep = sv.solve(wt, d)
-        wrong = _wrong_degree(rep)
-        return _check(f"box-edge {label} {wt}", not wrong, degree=d,
-                      kernel_dim=rep.kernel_dim,
-                      **({"wrong_degrees": [wrong]} if wrong else {}))
-
-    checks += [edge_job(label, wt)
-               for label, wt in sv.box_edge_weights(args.max_mn)]
-
-    def neg_job(wt):
-        empty = all(sv.solve(wt, d).kernel_dim == 0 for d in (1, 2, 3))
-        return _check(f"off-list {wt}", empty)
-
-    checks += [neg_job(wt) for wt in
-               sv.off_list_weights(args.max_mn, args.negatives, args.seed)]
+    checks = []
+    for wt in sorted(table, key=mo._node_sort_key):
+        vectors = {f"{lab}({m},{n})": sv.verify_vector(
+            sv.build_theorem_vector(lab, m, n)[1], wt)
+            for lab, m, n in table[wt]}
+        checks.append(_entry(f"weight {wt}", sv.classify(wt).values(),
+                             vectors, instances=list(vectors)))
+    for label, wt in sv.box_edge_weights(args.max_mn):
+        rep = sv.solve(wt, sv.FAMILIES[label].deg)
+        checks.append(_entry(f"box-edge {label} {wt}", [rep], {},
+                             degree=rep.deg, kernel_dim=rep.kernel_dim))
+    checks += [_entry(f"off-list {wt}", [sv.solve(wt, d) for d in (1, 2, 3)],
+                      {}) for wt in negatives]
     return _finish(args, checks, t0, {"seed": args.seed})
 
 
@@ -258,6 +248,10 @@ def cmd_verify_theorems(args) -> int:
 
 def cmd_complexes(args) -> int:
     t0 = time.time()
+    json_path = args.out or "graph.json"
+    dot_path = os.path.splitext(json_path)[0] + ".dot"
+    if dot_path == json_path:
+        build_parser().error(f"--out {json_path!r} is where the DOT file goes")
     graph = mo.build_complex_graph(args.max_mn)
     checks = [
         _check("duality-involution", mo.duality_is_involution(graph),
@@ -270,12 +264,10 @@ def cmd_complexes(args) -> int:
                          paths=rep.pairs_checked,
                          counterexamples=rep.failures[:5]))
 
-    json_path = args.out or "graph.json"
-    dot_path = os.path.splitext(json_path)[0] + ".dot"
-    with open(json_path, "w") as fh:
-        fh.write(mo.graph_to_json(graph) + "\n")
-    with open(dot_path, "w") as fh:
-        fh.write(mo.graph_to_dot(graph) + "\n")
+    for path, text in ((json_path, mo.graph_to_json(graph)),
+                       (dot_path, mo.graph_to_dot(graph))):
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
     return _finish(args, checks, t0,
                    {"files": {"json": json_path, "dot": dot_path}},
                    stdout=True)

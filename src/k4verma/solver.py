@@ -40,7 +40,7 @@ from math import factorial
 from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
                     sparse_nullspace)
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
-from .verma import LambdaVal, VKey, VVec, degree, \
+from .verma import LambdaVal, VKey, VVec, act_elem, degree, \
     dual_lambda_action, lambda_action, transform_T, w_mul
 from .weights import SL2_IN_XI, Weight, weight
 
@@ -120,9 +120,7 @@ def _rows(images) -> dict[tuple, dict[int, ExactScalar]]:
 
 def _table_rows(table, wt: Weight, cols: Sequence[VVec]) -> list[dict]:
     """Rows of the images of a table's elements on each column vector."""
-    masks = {imask for _, g in table for _, imask in g}
-    return list(_rows(_images(table, {imask: lambda_action(imask, col, wt)
-                                      for imask in masks})
+    return list(_rows({tag: act_elem(g, col, wt) for tag, g in table}
                       for col in cols).values())
 
 
@@ -396,21 +394,40 @@ def box_edge_weights(max_mn: int) -> list[tuple[str, Weight]]:
     return out
 
 
+_SHIFTS = (_F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(2), _F(3, 2))
+
+
+def _unclaimed(wt: Weight) -> bool:
+    return not any(expected_labels(wt, d) for d in (1, 2, 3))
+
+
 def off_list_weights(max_mn: int, count: int, seed: int) -> list[Weight]:
-    """Seeded weights next to a family formula, with m, n <= max_mn, that
-    no family claims at degrees 1-3."""
+    """Seeded distinct weights next to a family formula, with m, n <= max_mn,
+    that no family claims at degrees 1-3.  Once 1000 draws have missed, a
+    count above the number of such weights raises ValueError."""
     rng = random.Random(seed)
-    shifts = (_F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(2), _F(3, 2))
     labels = sorted(FAMILIES)
-    out = []
+    out: dict[Weight, None] = {}
+    misses = 0
     while len(out) < count:
         m, n = rng.randint(0, max_mn), rng.randint(0, max_mn)
-        base = FAMILIES[rng.choice(labels)].weight_at(m, n)
-        wt = weight(m, n, base.mu_t.re + rng.choice(shifts),
-                    base.mu_C.re + rng.choice(shifts))
-        if not any(expected_labels(wt, d) for d in (1, 2, 3)):
-            out.append(wt)
-    return out
+        mu_t, mu_C = FAMILIES[rng.choice(labels)].mu(m, n)
+        wt = weight(m, n, mu_t + rng.choice(_SHIFTS),
+                    mu_C + rng.choice(_SHIFTS))
+        if wt not in out and _unclaimed(wt):
+            out[wt] = None
+            continue
+        misses += 1
+        if misses == 1000:
+            grid = range(max_mn + 1)
+            near = {weight(a, b, mt + dt, mc + dc) for a in grid for b in grid
+                    for mt, mc in (fam.mu(a, b) for fam in FAMILIES.values())
+                    for dt in _SHIFTS for dc in _SHIFTS}
+            total = sum(map(_unclaimed, near))
+            if count > total:
+                raise ValueError(f"{count} exceeds the {total} off-list "
+                                 f"weights with m, n <= {max_mn}")
+    return list(out)
 
 
 def match_label(wt: Weight, deg: int, v: VVec):

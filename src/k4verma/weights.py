@@ -50,7 +50,7 @@ class Weight:
         return [(a, b) for a in range(self.m + 1) for b in range(self.n + 1)]
 
     def __str__(self) -> str:
-        return f"({self.m},{self.n},{self.mu_t.re},{self.mu_C.re})"
+        return f"({self.m},{self.n},{self.mu_t},{self.mu_C})"
 
 
 def weight(m: int, n: int, mu_t, mu_C) -> Weight:

@@ -8,11 +8,13 @@ no tolerances.  Each test prints a single summary line
 (visible with pytest -s, or in the captured output of a failure) and then
 asserts, so the pytest verdict and the printed line always agree.
 
-Criteria 01-03, 10 and 11 read the entries of a CLI report made through
-`k4verma.cli.main` and assert each is ok and swept its known size.
+Criteria 01-03, 06-08, 10 and 11 read the entries of a CLI report made
+through `k4verma.cli.main` and assert each is ok and swept its known size.
 """
 
 import contextlib
+import copy
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -218,30 +220,49 @@ def test_criterion_05_high_t_powers_annihilate():
                "except t^3 on the top monomial giving -6 (x) Cv", failures)
 
 
-def test_criterion_06_degree_one_classification():
-    failures = []
-    count = 0
-    for wt, instances in sv.table_weights(3).items():
-        ones = [i for i in instances if sv.FAMILIES[i[0]].deg == 1]
-        if not ones:
-            continue
-        count += len(ones)
-        rep = sv.solve(wt, 1)
-        expect = sorted(sv.expected_labels(wt, 1))
-        if rep.kernel_dim != len(expect) or sorted(rep.labels) != expect:
-            failures.append((ones, rep.kernel_dim, rep.labels))
+@pytest.fixture(scope="module")
+def theorems():
+    return _run_cli("verify-theorems", "--max-mn", "3", "--negatives", "30",
+                    "--seed", str(NEGATIVE_SEED))
+
+
+# the entries of each kind in `verify-theorems --max-mn 3 --negatives 30`
+_SWEEP = {"weight": 63, "box-edge": 57, "off-list": 30}
+
+
+def _sweep_failures(report: dict) -> list:
+    """Each entry of a verify-theorems report that is not ok, and each kind
+    of entry whose count is not its known size."""
+    failures = [c for c in report["checks"] if not c["ok"]]
+    for kind, size in _SWEEP.items():
+        count = sum(c["name"].startswith(kind + " ") for c in report["checks"])
+        if count != size:
+            failures.append(f"{count} {kind} entries, expected {size}")
+    return failures
+
+
+def _instances(report: dict, deg: int) -> dict:
+    """The table instances of the families of degree deg, by entry name."""
+    out: dict = {}
+    for c in report["checks"]:
+        for inst in c.get("instances", []):
+            if sv.FAMILIES[inst.split("(")[0]].deg == deg:
+                out.setdefault(c["name"], []).append(inst)
+    return out
+
+
+def test_criterion_06_degree_one_classification(theorems):
+    failures = _sweep_failures(theorems)
+    count = sum(map(len, _instances(theorems, 1).values()))
     if count != 49:
-        failures.append(f"expected 49 in-range instances, saw {count}")
-    for wt in sv.off_list_weights(3, 30, NEGATIVE_SEED):
-        if sv.solve(wt, 1).kernel_dim != 0:
-            failures.append(("off-list", wt))
+        failures.append(f"expected 49 degree-1 instances, saw {count}")
     _report(6, "degree-1 kernels are one-dimensional and match the tables "
-               "for all (m,n) <= (3,3); 30 seeded off-list weights are "
-               "empty", failures)
+               "for all (m,n) <= (3,3), on both routes; 30 seeded off-list "
+               "weights are empty", failures)
 
 
-def test_criterion_07_degree_two_classification():
-    failures = []
+def test_criterion_07_degree_two_classification(theorems):
+    failures = _sweep_failures(theorems)
     for label, params in (("2a", range(5)), ("2b", range(5)),
                           ("2c", range(2, 5)), ("2d", range(2, 5))):
         fam = sv.FAMILIES[label]
@@ -255,31 +276,63 @@ def test_criterion_07_degree_two_classification():
         wt = sv.FAMILIES[label].weight_at(*mn)
         if sv.solve(wt, 2).kernel_dim != 0:
             failures.append((label, "boundary", mn))
-    for wt in sv.off_list_weights(3, 30, NEGATIVE_SEED):
-        if sv.solve(wt, 2).kernel_dim != 0:
-            failures.append(("off-list", wt))
     _report(7, "degree-2 kernels match the four families for parameters "
                "<= 4, vanish at the boundary parameter and off the list",
             failures)
 
 
-def test_criterion_08_degree_three_classification():
-    failures = []
-    hits = {}
-    sweep = list(sv.table_weights(3)) \
-        + sv.off_list_weights(3, 30, NEGATIVE_SEED)
-    for wt in sweep:
-        rep = sv.solve(wt, 3)
-        if rep.kernel_dim:
-            hits[wt] = (rep.kernel_dim, rep.labels)
-    expected = {
-        weight(1, 0, F(5, 2), F(-1, 2)): (1, ("3a",)),
-        weight(0, 1, F(5, 2), F(1, 2)): (1, ("3b",)),
-    }
-    if hits != expected:
-        failures.append(f"degree-3 hits {hits}")
+def test_criterion_08_degree_three_classification(theorems):
+    failures = _sweep_failures(theorems)
+    threes = _instances(theorems, 3)
+    expected = {"weight (1,0,5/2,-1/2)": ["3a(1,0)"],
+                "weight (0,1,5/2,1/2)": ["3b(0,1)"]}
+    if threes != expected:
+        failures.append(f"degree-3 instances {threes}, expected {expected}")
     _report(8, "exactly two degree-3 singular vectors over the full sweep, "
                "matching the two stated ones", failures)
+
+
+@pytest.mark.parametrize("corrupt, negatives, named", [
+    (True, "30", "{'name': 'weight (1,0,5/2,-3/2)', 'ok': False"),
+    (False, "29", "29 off-list entries, expected 30"),
+], ids=["1b-mu-shifted", "29-negatives"])
+def test_criteria_06_to_08_fail_on_a_wrong_report(monkeypatch, corrupt,
+                                                  negatives, named):
+    # negative control: 1b's mu_t is shifted by 1, so its members fail at
+    # their weights, or the report draws one off-list weight too few; each
+    # criterion must fail and name the failing entry or size
+    if corrupt:
+        fam = sv.FAMILIES["1b"]
+        monkeypatch.setitem(sv.FAMILIES, "1b", dataclasses.replace(
+            fam, mu=lambda m, n: (fam.mu(m, n)[0] + 1, fam.mu(m, n)[1])))
+    rep = _run_cli("verify-theorems", "--max-mn", "3", "--negatives",
+                   negatives, "--seed", str(NEGATIVE_SEED))
+    for criterion in (test_criterion_06_degree_one_classification,
+                      test_criterion_07_degree_two_classification,
+                      test_criterion_08_degree_three_classification):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                pytest.raises(AssertionError) as exc:
+            criterion(rep)
+        assert named in str(exc.value), criterion.__name__
+
+
+def test_criteria_06_and_08_fail_on_a_missing_instance(theorems):
+    # negative control: the report's entries stay ok but lose the instances
+    # 1a(0,0) and 3b(0,1); each criterion must fail naming what it counted
+    rep = copy.deepcopy(theorems)
+    for c in rep["checks"]:
+        if "instances" in c:
+            c["instances"] = [i for i in c["instances"]
+                              if i not in ("1a(0,0)", "3b(0,1)")]
+    for criterion, named in (
+            (test_criterion_06_degree_one_classification,
+             "expected 49 degree-1 instances, saw 48"),
+            (test_criterion_08_degree_three_classification,
+             "degree-3 instances {'weight (1,0,5/2,-1/2)': ['3a(1,0)']}")):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                pytest.raises(AssertionError) as exc:
+            criterion(rep)
+        assert named in str(exc.value), criterion.__name__
 
 
 def test_criterion_09_no_higher_degrees():

@@ -163,6 +163,24 @@ def test_verify_theorems_catches_a_corrupted_family(
                       for name, (d, inst) in witnesses.items()}
 
 
+def test_off_list_entry_with_a_kernel_names_wrong_degrees(capsys,
+                                                          monkeypatch):
+    # negative control: 1b's mu_t is shifted by 1, so no family claims 1b's
+    # true weight at (1, 0); an off-list entry there finds its kernel
+    fam = sv.FAMILIES["1b"]
+    true_weight = fam.weight_at(1, 0)
+    monkeypatch.setitem(sv.FAMILIES, "1b", dataclasses.replace(
+        fam, mu=lambda m, n: (fam.mu(m, n)[0] + 1, fam.mu(m, n)[1])))
+    monkeypatch.setattr(sv, "off_list_weights", lambda *a: [true_weight])
+    code, rep = run(capsys, "verify-theorems", "--max-mn", "0",
+                    "--negatives", "1")
+    assert code == 1
+    assert [c for c in rep["checks"] if not c["ok"]] == [
+        {"name": "off-list (1,0,3/2,-3/2)", "ok": False,
+         "wrong_degrees": [{"degree": 1, "kernel_dim": 1, "expected": [],
+                            "labels": [None]}]}]
+
+
 @pytest.mark.parametrize("label, box, weights", [
     ("2b", (0, 0, 0, 0), ["(1,0,1/2,3/2)"]),
     ("1b", (2, float("inf"), 0, float("inf")),
@@ -281,8 +299,15 @@ def test_negative_bounds_are_usage_errors(tmp_path):
             (["coadjoint", "--max-degree", "0", *out], gone),
             (["complexes", "--max-mn", "0", *out], gone),
             (["axioms", "--max-tpow", "0", "--out", str(tmp_path)],
-             "is a directory")):
+             "is a directory"),
+            # the DOT file goes to --out with its suffix replaced by .dot
+            (["complexes", "--max-mn", "0", "--out", str(tmp_path / "g.dot")],
+             "is where the DOT file goes"),
+            # 107 weights next to a formula at (0, 0) are claimed by none
+            (["verify-theorems", "--max-mn", "0", "--negatives", "108"],
+             "108 exceeds the 107 off-list weights")):
         assert message in usage_error(tmp_path, *argv), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_out_path_is_a_usage_error(tmp_path):

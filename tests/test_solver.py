@@ -414,6 +414,23 @@ def test_off_list_weights_are_seeded_and_claimed_by_no_family():
     for wt in wts:
         assert 0 <= wt.m <= 2 and 0 <= wt.n <= 2
         assert not any(sv.expected_labels(wt, d) for d in (1, 2, 3))
+    # seeds whose draws repeat a weight: each repeat is skipped
+    for max_mn, seed in ((0, 1), (1, 5)):
+        wts = sv.off_list_weights(max_mn, 30, seed)
+        assert len(set(wts)) == len(wts) == 30, (max_mn, seed)
+
+
+def test_off_list_weights_reject_a_count_above_the_candidates():
+    # 107 weights next to a formula at (0, 0) are claimed by no family:
+    # all of them can be drawn, and one more is an error naming that number
+    assert len(set(sv.off_list_weights(0, 107, 1))) == 107
+    with pytest.raises(ValueError, match="108 exceeds the 107 off-list"):
+        sv.off_list_weights(0, 108, 1)
+
+
+def test_fresh_solver_caches_finds_the_solver_caches(fresh_solver_caches):
+    assert {f.__name__ for f in fresh_solver_caches} >= {
+        "_hw_basis", "_dual_mu", "_dual_record"}
 
 
 def test_box_edge_weights_step_past_every_finite_bound():

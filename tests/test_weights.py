@@ -29,6 +29,17 @@ def e_pm(sign):
 E1, E2 = e_pm(1), e_pm(-1)
 
 
+def test_str_keeps_the_imaginary_part_of_mu():
+    # error messages name weights by str: a Gaussian mu must not print as
+    # its real part
+    real = wt.weight(1, 1, Fraction(7, 3), Fraction(-4, 5))
+    gauss = wt.weight(1, 1, scal(Fraction(7, 3), Fraction(1, 2)),
+                      scal(Fraction(-4, 5), 2))
+    assert str(real) == "(1,1,7/3,-4/5)"
+    assert str(gauss) == "(1,1,7/3+1/2i,-4/5+2i)"
+    assert str(gauss) != str(real) and gauss != real
+
+
 def test_xi_pair_decompositions_frozen():
     ih = scal(0, "1/2")
     h = scal("1/2")
