@@ -62,8 +62,7 @@ def _finish(args, checks: list, t0: float, extra: dict | None = None,
 
 
 def _wt_payload(wt: Weight) -> dict:
-    return {"m": wt.m, "n": wt.n, "mu_t": str(wt.mu_t.re),
-            "mu_C": str(wt.mu_C.re)}
+    return {"m": wt.m, "n": wt.n, "mu_t": str(wt.mu_t), "mu_C": str(wt.mu_C)}
 
 
 def _vvec_payload(v) -> list:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import annihilation as an
 from .conformal import AxiomReport
 from .exact import ExactScalar, ONE, RowReducer, axpy, scal
-from .grassmann import ALL_MASKS, indices_of, mask_of
+from .grassmann import ALL_MASKS, mask_of
 from .solver import candidate_keys
 from .verma import VVec, act_elem
 from .weights import weight
@@ -28,6 +28,7 @@ from .weights import weight
 DualElement = dict[an.Key, ExactScalar]
 
 THETA_STAR: DualElement = {(0, 0): scal(-2)}
+_MINUS = scal(-1)
 
 WT_COADJOINT = weight(0, 0, 2, 0)
 
@@ -56,7 +57,7 @@ def coadjoint_act(x: an.Element, f: DualElement) -> DualElement:
             continue
         px = an.parity(xk)
         for fk, fc in f.items():
-            sign = scal(1 if px and an.parity(fk) else -1)
+            sign = ONE if px and an.parity(fk) else _MINUS
             axpy(out, sign * fc * xc, _pairing(xk, fk))
     return out
 
@@ -73,7 +74,7 @@ def check_representation(max_degree: int) -> AxiomReport:
         for yk in ys:
             y = {yk: ONE}
             xy = an.drop_central(an.bracket(x, y))
-            sign = scal(1 if an.parity(xk) and an.parity(yk) else -1)
+            sign = ONE if an.parity(xk) and an.parity(yk) else _MINUS
             for fk in fs:
                 f = {fk: ONE}
                 defect = coadjoint_act(x, coadjoint_act(y, f))
@@ -85,18 +86,26 @@ def check_representation(max_degree: int) -> AxiomReport:
     return rep
 
 
+@lru_cache(maxsize=None)
+def _phi_key(k: int, lmask: int) -> tuple:
+    """phi of Theta^k eta_L (x) 1, frozen: Theta on the image of (k-1, L),
+    or eta_j on that of (0, L - j) for the lowest j in L, down to Theta*."""
+    if k:
+        x, f = dict(an.THETA), _phi_key(k - 1, lmask)
+    elif lmask:
+        x, f = {(0, lmask & -lmask): ONE}, _phi_key(0, lmask & (lmask - 1))
+    else:
+        return tuple(THETA_STAR.items())
+    return tuple(coadjoint_act(x, dict(f)).items())
+
+
 def phi_image(v: VVec) -> DualElement:
     """The unique module map out of M(0,0,2,0) hitting Theta*."""
     out: DualElement = {}
     for (k, lmask, mon), c in v.items():
         if mon != (0, 0):
             raise ValueError("the module has trivial sl2 labels")
-        f = dict(THETA_STAR)
-        for j in reversed(indices_of(lmask)):
-            f = coadjoint_act({(0, 1 << (j - 1)): ONE}, f)
-        for _ in range(k):
-            f = coadjoint_act(dict(an.THETA), f)
-        axpy(out, c, f.items())
+        axpy(out, c, _phi_key(k, lmask))
     return out
 
 

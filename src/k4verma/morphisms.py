@@ -35,7 +35,7 @@ def source_weight(label: str, m: int, n: int) -> Weight:
     target = fam.weight_at(m, n)
     dx = sum(_W_SHIFT[w][0] for w in fam.terms[0][1])
     dy = sum(_W_SHIFT[w][1] for w in fam.terms[0][1])
-    return weight(m + dx, n + dy, target.mu_t.re - fam.deg, target.mu_C.re)
+    return weight(m + dx, n + dy, target.mu_t - fam.deg, target.mu_C)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def compose_is_zero(phi2: VermaMorphism, phi1: VermaMorphism) -> bool:
 
 
 def duality_weight(wt: Weight) -> Weight:
-    return weight(wt.m, wt.n, -wt.mu_t.re + 2, -wt.mu_C.re)
+    return weight(wt.m, wt.n, 2 - wt.mu_t, -wt.mu_C)
 
 
 def supertrace_ad(x: an.Element) -> ExactScalar:
@@ -122,7 +122,7 @@ class ComplexGraph:
 
 
 def _node_sort_key(wt: Weight):
-    return (wt.m, wt.n, wt.mu_t.re, wt.mu_C.re)
+    return (wt.m, wt.n, wt.mu_t.re, wt.mu_t.im, wt.mu_C.re, wt.mu_C.im)
 
 
 def build_complex_graph(max_mn: int) -> ComplexGraph:
@@ -193,7 +193,7 @@ def check_two_paths(graph: ComplexGraph) -> AxiomReport:
 
 
 def _wt_json(wt: Weight):
-    return [wt.m, wt.n, str(wt.mu_t.re), str(wt.mu_C.re)]
+    return [wt.m, wt.n, str(wt.mu_t), str(wt.mu_C)]
 
 
 def graph_to_json(graph: ComplexGraph) -> str:

@@ -27,7 +27,8 @@ Three independent implementations of the module action live here.
 
 All three are compiled to weight-independent symbolic templates keyed on
 (generator, Theta power, eta mask), so sweeping thousands of weights reuses
-the same symbolic expansion.
+the same symbolic expansion.  A term scales the frozen image act_g0 gives
+its token by its coefficient; `act` reads a cached slice of one lambda power.
 """
 
 from __future__ import annotations
@@ -314,11 +315,12 @@ def _eval_template(terms, mon: MonKey, coeff: ExactScalar, wt: Weight,
                    out: LambdaVal) -> None:
     for lp, c, k2, l2, tok in terms:
         target = out.setdefault(lp, {})
+        cc = coeff * c
         if tok is None:
-            acc(target, (k2, l2, mon), coeff * c)
+            acc(target, (k2, l2, mon), cc)
             continue
-        for m, v in act_g0(tok, wt, {mon: coeff * c}).items():
-            acc(target, (k2, l2, m), v)
+        for m, v in act_g0(tok, wt, mon):
+            acc(target, (k2, l2, m), v * cc)
 
 
 def _lambda_expand(template, v: VVec, wt: Weight) -> LambdaVal:
@@ -392,6 +394,18 @@ def act_oracle(key, v: VVec, wt: Weight) -> VVec:
                           v, wt).get(0, {})
 
 
+@lru_cache(maxsize=None)
+def _power_slices(imask: int, k: int, lmask: int) -> tuple:
+    """_primal_template split by lambda power j, up to k + 3, the highest."""
+    terms = _primal_template(imask, k, lmask)
+    return tuple(tuple(t for t in terms if t[0] == j) for j in range(k + 4))
+
+
+@lru_cache(maxsize=None)
+def _factorial(j: int) -> ExactScalar:
+    return scal(factorial(j))
+
+
 def act(key, v: VVec, wt: Weight) -> VVec:
     """Action of t^j xi_I (or C) through the closed-form lambda expansion;
     only the template terms of lambda power j are evaluated."""
@@ -401,10 +415,10 @@ def act(key, v: VVec, wt: Weight) -> VVec:
                               v, wt).get(0, {})
     j, imask = key
     coeff = _lambda_expand(
-        lambda k, l: [t for t in _primal_template(imask, k, l) if t[0] == j],
+        lambda k, l: _power_slices(imask, k, l)[j] if j <= k + 3 else (),
         v, wt).get(j, {})
-    f = factorial(j)
-    return {vk: c * f for vk, c in coeff.items()} if f != 1 else coeff
+    f = _factorial(j)
+    return coeff if j < 2 else {vk: c * f for vk, c in coeff.items()}
 
 
 def act_elem(g: an.Element, v: VVec, wt: Weight) -> VVec:

@@ -17,7 +17,8 @@ The six quadratic monomials xi_ij sit inside sl(2)+sl(2) via
 
 SL2_IN_XI holds that table, the one copy in the package.  The inverse
 change of basis is computed once at import time by inverting its 6x6
-matrix, and act_g0 caches the image of each F-monomial under each xi_ij.
+matrix.  act_g0 returns the frozen image of one F-monomial, cached for
+each xi_ij; under t and C it is mu * monomial, the one place mu is read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import factorial
 
 from .annihilation import CKEY, Key
 from .exact import ExactScalar, I, ONE, ZERO, acc, axpy, inverse, scal
-from .grassmann import mask_of, size
+from .grassmann import mask_of
 
 MonKey = tuple[int, int]            # (number of x1 factors, number of y1 factors)
 Vector = dict[MonKey, ExactScalar]
@@ -124,18 +125,14 @@ def _xi_image(mask: int, m: int, n: int, mon: MonKey) -> tuple:
     return tuple(out.items())
 
 
-def act_g0(key: Key, wt: Weight, vec: Vector) -> Vector:
-    """Action of a degree-zero annihilation-algebra basis key on F; t and
-    C act by the scalars mu_t and mu_C, the one place mu enters."""
+def act_g0(key: Key, wt: Weight, mon: MonKey) -> tuple:
+    """Image of one F-monomial under a degree-zero basis key, frozen as
+    ((monomial, coefficient), ...); t and C act by mu_t and mu_C, or () at 0."""
+    if key[0] == 0 and key[1] in XI_COMBO:
+        return _xi_image(key[1], wt.m, wt.n, mon)
     if key == CKEY or key == (1, 0):
         mu = wt.mu_C if key == CKEY else wt.mu_t
-        return {} if mu.is_zero() else {k: c * mu for k, c in vec.items()}
-    tpow, mask = key
-    if tpow == 0 and size(mask) == 2:
-        out: Vector = {}
-        for mon, c in vec.items():
-            axpy(out, c, _xi_image(mask, wt.m, wt.n, mon))
-        return out
+        return () if mu.is_zero() else ((mon, mu),)
     raise ValueError(f"{key} is not a degree-zero basis key")
 
 

@@ -135,7 +135,10 @@ _SAMPLED_MU = [
 
 def _xi_op(j: int, i: int, fvec: dict, wt) -> dict:
     ps, pm = pair_mask(j, i)
-    return {mk: c * scal(ps) for mk, c in act_g0((0, pm), wt, fvec).items()}
+    out: dict = {}
+    for mon, c in fvec.items():
+        axpy(out, c * scal(ps), act_g0((0, pm), wt, mon))
+    return out
 
 
 def _lift(k: int, lmask: int, fvec: dict) -> dict:
@@ -436,14 +439,43 @@ def test_criterion_11_coadjoint_identification(coadjoint):
      {"action-is-a-representation"}),
 ], ids=["xi2-entries-dropped", "one-xi1-sign-flipped",
         "one-theta-sign-flipped", "one-raising-sign-flipped"])
-def test_criterion_11_fails_on_a_corrupted_pairing_table(monkeypatch, corrupt,
-                                                         failing):
+def test_criterion_11_fails_on_a_corrupted_pairing_table(
+        fresh_solver_caches, monkeypatch, corrupt, failing):
     # negative control: the table function itself is corrupted, ahead of
-    # its cache, so every coadjoint action reads the bad entry; the run
-    # must exit 1 and the criterion must fail naming each failing entry
+    # its cache, so every coadjoint action reads the bad entry; the caches
+    # are emptied first, so no image of phi built from the true table is
+    # served
     pairing = co._pairing
     monkeypatch.setattr(co, "_pairing",
                         lambda xk, fk: corrupt(xk, fk, pairing(xk, fk)))
+    _criterion_11_fails_naming(failing)
+
+
+@pytest.mark.parametrize("flipped", [(1, 0), (0, mask_of((2, 4))),
+                                     (2, mask_of((1, 2)))],
+                         ids=["theta", "eta24", "degree-6"])
+def test_criterion_11_fails_on_a_flipped_phi_image(
+        fresh_solver_caches, monkeypatch, flipped):
+    # negative control for the table of phi's basis-key images: the one
+    # image of Theta^k eta_L (x) 1 changes sign as it is read, so the
+    # images built from it by the recursion carry the flip too; every
+    # such key of degree 1..6 fails equivariance (at (0, 0) the flip is
+    # -phi, itself a module map)
+    phi_key = co._phi_key
+
+    def flip(k, lmask):
+        img = phi_key(k, lmask)
+        if (k, lmask) != flipped:
+            return img
+        return tuple((fk, -c) for fk, c in img)
+
+    monkeypatch.setattr(co, "_phi_key", flip)
+    _criterion_11_fails_naming({"equivariance-sampled"})
+
+
+def _criterion_11_fails_naming(failing: set) -> None:
+    # the run must exit 1 and the criterion must fail naming each failing
+    # entry
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["coadjoint", "--max-degree", "6"])

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from k4verma import annihilation as an
+from k4verma import cli
 from k4verma import morphisms as mo
 from k4verma.exact import ONE, ZERO, scal
 from k4verma.grassmann import mask_of
@@ -75,6 +77,26 @@ def test_duality_weight_formula():
         right = weight(0, n, 1 + F(n, 2), 1 + F(n, 2))    # 1d formula at (0,n)
         assert mo.duality_weight(left) == right
         assert mo.duality_weight(right) == left
+
+
+def test_duality_and_source_keep_the_imaginary_part_of_mu(monkeypatch):
+    # at the referee tests' Gaussian mu, which no sweep uses: both weights
+    # are computed, printed and sorted with the full scalar
+    gauss_mu = (scal(F(7, 3), F(1, 2)), scal(F(-4, 5), 2))
+    wt = weight(1, 2, *gauss_mu)
+    dual = mo.duality_weight(wt)
+    assert dual == weight(1, 2, scal(F(-1, 3), F(-1, 2)), scal(F(4, 5), -2))
+    assert mo.duality_weight(dual) == wt
+    fam = mo.FAMILIES["1b"]
+    monkeypatch.setitem(mo.FAMILIES, "1b",
+                        dataclasses.replace(fam, mu=lambda m, n: gauss_mu))
+    assert mo.source_weight("1b", 2, 1) == \
+        weight(1, 2, gauss_mu[0] - 1, gauss_mu[1])
+    assert mo._wt_json(wt) == [1, 2, "7/3+1/2i", "-4/5+2i"]
+    assert cli._wt_payload(wt) == {"m": 1, "n": 2, "mu_t": "7/3+1/2i",
+                                   "mu_C": "-4/5+2i"}
+    real = weight(1, 2, F(7, 3), F(-4, 5))
+    assert sorted([wt, real], key=mo._node_sort_key) == [real, wt]
 
 
 def test_supertraces():

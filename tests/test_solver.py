@@ -429,8 +429,15 @@ def test_off_list_weights_reject_a_count_above_the_candidates():
 
 
 def test_fresh_solver_caches_finds_the_solver_caches(fresh_solver_caches):
-    assert {f.__name__ for f in fresh_solver_caches} >= {
-        "_hw_basis", "_dual_mu", "_dual_record"}
+    names = {(f.__module__.rpartition(".")[2], f.__name__)
+             for f in fresh_solver_caches}
+    assert names >= {
+        ("solver", "_hw_basis"), ("solver", "_dual_mu"),
+        ("solver", "_dual_record"), ("verma", "_primal_template"),
+        ("verma", "_power_slices"), ("weights", "_xi_image"),
+        ("coadjoint", "_pairing"), ("coadjoint", "_phi_key"),
+        ("annihilation", "_key_bracket_plain")}
+    assert all(f.cache_info().currsize == 0 for f in fresh_solver_caches)
 
 
 def test_box_edge_weights_step_past_every_finite_bound():

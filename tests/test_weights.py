@@ -29,12 +29,23 @@ def e_pm(sign):
 E1, E2 = e_pm(1), e_pm(-1)
 
 
+# the referee tests' Gaussian mu, which no sweep uses
+GAUSS_MU = (scal(Fraction(7, 3), Fraction(1, 2)), scal(Fraction(-4, 5), 2))
+
+
+def act_g0(key, w, vec):
+    """act_g0 on a vector: the frozen image of each monomial, summed."""
+    out = {}
+    for mon, c in vec.items():
+        axpy(out, c, wt.act_g0(key, w, mon))
+    return out
+
+
 def test_str_keeps_the_imaginary_part_of_mu():
     # error messages name weights by str: a Gaussian mu must not print as
     # its real part
     real = wt.weight(1, 1, Fraction(7, 3), Fraction(-4, 5))
-    gauss = wt.weight(1, 1, scal(Fraction(7, 3), Fraction(1, 2)),
-                      scal(Fraction(-4, 5), 2))
+    gauss = wt.weight(1, 1, *GAUSS_MU)
     assert str(real) == "(1,1,7/3,-4/5)"
     assert str(gauss) == "(1,1,7/3+1/2i,-4/5+2i)"
     assert str(gauss) != str(real) and gauss != real
@@ -65,7 +76,7 @@ def test_ex_on_small_module():
 def test_xi12_scales_highest_vector():
     for m, n in [(0, 0), (1, 0), (2, 3)]:
         w = W(m, n)
-        out = wt.act_g0((0, mask_of((1, 2))), w, hwv(w))
+        out = act_g0((0, mask_of((1, 2))), w, hwv(w))
         expect = scal(0, Fraction(m + n, 2))
         assert out == ({(m, n): expect} if not expect.is_zero() else {})
 
@@ -73,15 +84,40 @@ def test_xi12_scales_highest_vector():
 def test_t_and_C_act_by_scalars():
     w = W(1, 2, t="7/3", c="1/5")
     v = {(0, 1): scal(2), (1, 2): scal(0, 1)}
-    assert wt.act_g0((1, 0), w, v) == {k: c * scal("7/3") for k, c in v.items()}
-    assert wt.act_g0(an.CKEY, w, v) == {k: c * scal("1/5") for k, c in v.items()}
+    assert act_g0((1, 0), w, v) == {k: c * scal("7/3") for k, c in v.items()}
+    assert act_g0(an.CKEY, w, v) == {k: c * scal("1/5") for k, c in v.items()}
     with pytest.raises(ValueError):
-        wt.act_g0((0, 0), w, v)
+        act_g0((0, 0), w, v)
+
+
+def test_act_g0_on_one_monomial_is_its_sl2_combination():
+    # referee of the frozen per-monomial image: every degree-zero key on
+    # every monomial of F(m, n), m, n <= 3, at a Gaussian mu and at mu = 0
+    keys = an.basis_of_degree(0) + [an.CKEY]
+    for m in range(4):
+        for n in range(4):
+            w = wt.weight(m, n, *GAUSS_MU)
+            zero = wt.weight(m, n, 0, 0)
+            for mon in w.keys():
+                for key in keys:
+                    img = wt.act_g0(key, w, mon)
+                    assert isinstance(img, tuple)
+                    if key[0] == 0:
+                        expect = {}
+                        for c, op in wt.XI_COMBO[key[1]]:
+                            axpy(expect, c,
+                                 wt.apply_sl2(op, w, {mon: ONE}).items())
+                        assert dict(img) == expect, (key, mon)
+                        assert wt.act_g0(key, zero, mon) == img
+                    else:
+                        mu = w.mu_C if key == an.CKEY else w.mu_t
+                        assert img == ((mon, mu),), (key, mon)
+                        assert wt.act_g0(key, zero, mon) == ()
 
 
 def _commutator(u, v, w, vec):
-    return _sub(wt.act_g0(u, w, wt.act_g0(v, w, vec)),
-                wt.act_g0(v, w, wt.act_g0(u, w, vec)))
+    return _sub(act_g0(u, w, act_g0(v, w, vec)),
+                act_g0(v, w, act_g0(u, w, vec)))
 
 
 def _sub(a, b):
@@ -125,7 +161,7 @@ def test_g0_action_matches_algebra_bracket():
                     if u != an.CKEY and v != an.CKEY:
                         br = an.bracket({u: ONE}, {v: ONE})
                         for bk, bc in br.items():
-                            axpy(rhs, bc, wt.act_g0(bk, w, vec).items())
+                            axpy(rhs, bc, act_g0(bk, w, vec).items())
                     assert lhs == rhs, (u, v, key)
 
 
@@ -169,7 +205,7 @@ def test_sl2_in_xi_table_matches_the_operators():
     def combo_on(combo, w, vec):
         out = {}
         for c, pmask in combo:
-            axpy(out, c, wt.act_g0((0, pmask), w, vec).items())
+            axpy(out, c, act_g0((0, pmask), w, vec).items())
         return out
 
     for m in range(4):
