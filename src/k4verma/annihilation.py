@@ -19,8 +19,8 @@ basis xi_I y^m (I != {1,2,3,4}) and (pd xi_1234) y^m, with
 
   [a y^m, b y^n] = sum_j C(m,j) (a_(j) b) y^{m+n-j}
 
-reduced by pd^k xi_I y^s = (-1)^k s!/(s-k)! xi_I y^{s-k} and, for the top
-monomial, pd^k xi_1234 y^s = (-1)^(k-1) s(s-1)...(s-k+2) (pd xi_1234) y^{s-k+1}.
+reduced by pd^k xi_I y^s = (-1)^k perm(s, k) xi_I y^{s-k} and, for the top
+monomial, pd^k xi_1234 y^s = (-1)^(k-1) perm(s, k-1) (pd xi_1234) y^{s-k+1}.
 The map phi sending xi_I y^m -> t^m xi_I and (pd xi_1234) y^m ->
 -m t^{m-1} xi_1234 is a surjective morphism onto K(1,4)_+ with kernel
 spanned by (pd xi_1234) y^0, and the section t^m xi_1234 ->
@@ -32,7 +32,7 @@ other; this is the redundancy that guards the cocycle table.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import perm
 
 from fractions import Fraction
 
@@ -210,22 +210,14 @@ KERNEL_KEY: LieKey = (1, MASK_ALL, 0)
 
 
 def _reduce_gen(k: int, mask: int, ypow: int) -> tuple[ExactScalar, LieKey | None]:
-    """Push pd powers into y powers:  pd^k xi y^s = -s pd^{k-1} xi y^{s-1}..."""
-    if mask != MASK_ALL:
-        if k > ypow:
-            return ZERO, None
-        c = (-1) ** k * factorial(ypow) // factorial(ypow - k)
-        return scal(c), (0, mask, ypow - k)
-    steps = k - 1
-    if steps < 0:
-        return ZERO, None  # bare xi_1234 is not in K'_4 and never arises here
-    c = 1
-    for j in range(steps):
-        c *= ypow - j
-    c *= (-1) ** steps
+    """Push pd powers into y powers: pd^k xi y^s = (-1)^k perm(s, k) xi y^{s-k},
+    one pd fewer on the top monomial, which keeps pd xi_1234."""
+    top = mask == MASK_ALL
+    s = k - top
+    c = (-1) ** s * perm(ypow, s) if s >= 0 else 0
     if c == 0:
-        return ZERO, None
-    return scal(c), (1, MASK_ALL, ypow - steps)
+        return ZERO, None  # s > ypow, or bare xi_1234, which is not in K'_4
+    return scal(c), (int(top), mask, ypow - s)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +229,7 @@ def _lie_key_bracket(k1: int, m1: int, y1: int, k2: int, m2: int, y2: int) -> tu
     for j, elem in lam.items():
         if j > y1:
             continue
-        cf_j = scal(comb(y1, j) * factorial(j))
+        cf_j = scal(perm(y1, j))
         for (k, mask), c in elem.items():
             red_c, key = _reduce_gen(k, mask, y1 + y2 - j)
             if key is not None and not red_c.is_zero():

@@ -235,8 +235,8 @@ def cmd_verify_theorems(args) -> int:
         rep = sv.solve(wt, sv.FAMILIES[label].deg)
         checks.append(_entry(f"box-edge {label} {wt}", [rep], {},
                              degree=rep.deg, kernel_dim=rep.kernel_dim))
-    checks += [_entry(f"off-list {wt}", [sv.solve(wt, d) for d in (1, 2, 3)],
-                      {}) for wt in negatives]
+    checks += [_entry(f"off-list {wt}", sv.classify(wt).values(), {})
+               for wt in negatives]
     return _finish(args, checks, t0, {"seed": args.seed})
 
 

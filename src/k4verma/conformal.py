@@ -46,7 +46,6 @@ def poly_is_zero(p: LambdaPoly) -> bool:
     return all(not e for e in p.values())
 
 
-@lru_cache(maxsize=None)
 def _base_bracket(imask: int, jmask: int) -> tuple:
     """[xi_I lambda xi_J] for bare generators, frozen as a hashable tuple."""
     out: dict[int, Element] = {0: {}, 1: {}}
@@ -73,7 +72,8 @@ def _base_bracket(imask: int, jmask: int) -> tuple:
 def gen_bracket(ka: int, imask: int, kb: int, jmask: int) -> tuple:
     """[pd^ka xi_I lambda pd^kb xi_J] as a frozen lambda-polynomial."""
     out: LambdaPoly = {}
-    for n, items in _base_bracket(imask, jmask):
+    for n, items in (gen_bracket(0, imask, 0, jmask) if ka or kb
+                     else _base_bracket(imask, jmask)):
         elem = dict(items)
         # (lambda + pd)^kb, then (-lambda)^ka
         for j in range(kb + 1):

@@ -1,13 +1,10 @@
 """Search for highest weight singular vectors in the induced modules.
 
 A degree-d candidate is a combination of Theta^k eta_L (x) v with
-2k + |L| = d.  The highest weight conditions split by lambda power of
-the field action:
-
-  * every lambda^j coefficient with j >= 2 vanishes, for all xi_I,
-  * the lambda^1 coefficient vanishes for |I| >= 1,
-  * the lambda^0 coefficient vanishes for |I| >= 3,
-  * e1 and e2 annihilate the candidate.
+2k + |L| = d.  It is singular when g_{>0}, e1 and e2 annihilate it;
+t^j xi_I acts as j! times the lambda^j coefficient of the field xi_I, so
+that coefficient vanishes whenever t^j xi_I has positive degree
+(`annihilation.grade_key`), and e1 and e2 annihilate the candidate.
 
 Each (weight, degree) pair gives one exact linear system whose kernel
 is the space of singular vectors.  The last condition carries no mu, so
@@ -37,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .annihilation import grade_key
 from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
                     sparse_nullspace)
 from .grassmann import ALL_MASKS, indices_of, mask_of, size
@@ -57,7 +55,7 @@ def _e_row(sign: int) -> dict:
 _E_ROWS = (("e1", _e_row(1)), ("e2", _e_row(-1)))
 
 # (xi_1 + i xi_2) xi_3 xi_4 and t(xi_1 + i xi_2): each is a combination of
-# conditions that _keep admits, and with e1 and e2 they generate the
+# positive-degree conditions, and with e1 and e2 they generate the
 # positive part
 _SHORTCUT = (
     ("(xi_1+i xi_2)xi_3 xi_4", {(0, mask_of((1, 3, 4))): ONE,
@@ -66,15 +64,11 @@ _SHORTCUT = (
 )
 
 
-def _keep(lp: int, isz: int) -> bool:
-    return lp >= 2 or (lp == 1 and isz >= 1) or (lp == 0 and isz >= 3)
-
-
 def _conditions(lam: dict[int, LambdaVal]) -> dict:
     """Condition images of one vector, from its lambda actions lam[imask]:
-    the (imask, lp) pairs that _keep admits, then "e1" and "e2"."""
+    each (imask, lp) with t^lp xi_I of positive degree, then "e1" and "e2"."""
     out: dict = {(imask, lp): vec for imask, by_power in lam.items()
-                 for lp, vec in by_power.items() if _keep(lp, size(imask))}
+                 for lp, vec in by_power.items() if grade_key((lp, imask)) > 0}
     out.update(_images(_E_ROWS, lam))
     return out
 
@@ -456,7 +450,6 @@ def _scalar_equal(a: VVec, b: VVec) -> bool:
 class VerifyReport:
     ok: bool
     failures: tuple[str, ...]
-    shortcut_failures: tuple[str, ...]
 
 
 def _gen_name(imask: int, lp: int) -> str:
@@ -477,17 +470,16 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
         raise ValueError("zero vector is not a singular vector candidate")
 
     lam = {imask: lambda_action(imask, v, wt) for imask in ALL_MASKS}
+    conds = _conditions(lam)
     failures = [cond if isinstance(cond, str) else _gen_name(*cond)
-                for cond, img in _conditions(lam).items() if img]
-
-    short = [tag for tag, img in _images((*_E_ROWS, *_SHORTCUT), lam).items()
-             if img]
-
-    ok, ok_short = not failures, not short
-    if ok != ok_short:
+                for cond, img in conds.items() if img]
+    # the shortcut: e1 and e2 from the sweep's images, then _SHORTCUT
+    ok_short = not (conds["e1"] or conds["e2"]
+                    or any(_images(_SHORTCUT, lam).values()))
+    if (not failures) != ok_short:
         raise RuntimeError(f"full sweep and shortcut disagree at weight {wt} "
                            f"degree {d} on {v!r}")
-    return VerifyReport(ok, tuple(sorted(set(failures))), tuple(short))
+    return VerifyReport(not failures, tuple(sorted(set(failures))))
 
 
 # ---------------------------------------------------------------------------

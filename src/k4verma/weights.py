@@ -58,35 +58,29 @@ def weight(m: int, n: int, mu_t, mu_C) -> Weight:
     return Weight(m, n, ExactScalar._coerce(mu_t), ExactScalar._coerce(mu_C))
 
 
-SL2_OPS = ("h_x", "e_x", "f_x", "h_y", "e_y", "f_y")
+# each sl2 operator as (da, db, coefficient): it sends (a, b) to
+# (a + da, b + db) times coefficient(a, b, m, n), which is zero wherever
+# the shifted monomial would leave F
+_SL2_MOVES = {
+    "h_x": (0, 0, lambda a, b, m, n: 2 * a - m),
+    "e_x": (1, 0, lambda a, b, m, n: m - a),
+    "f_x": (-1, 0, lambda a, b, m, n: a),
+    "h_y": (0, 0, lambda a, b, m, n: 2 * b - n),
+    "e_y": (0, 1, lambda a, b, m, n: n - b),
+    "f_y": (0, -1, lambda a, b, m, n: b),
+}
+SL2_OPS = tuple(_SL2_MOVES)
 
 
 def apply_sl2(op: str, wt: Weight, vec: Vector) -> Vector:
+    if op not in _SL2_MOVES:
+        raise ValueError(f"unknown sl2 operator {op!r}")
+    da, db, coeff = _SL2_MOVES[op]
     out: Vector = {}
-    m, n = wt.m, wt.n
     for (a, b), c in vec.items():
-        if op == "h_x":
-            k = 2 * a - m
-            if k:
-                acc(out, (a, b), c * k)
-        elif op == "h_y":
-            k = 2 * b - n
-            if k:
-                acc(out, (a, b), c * k)
-        elif op == "e_x":
-            if a < m:
-                acc(out, (a + 1, b), c * (m - a))
-        elif op == "f_x":
-            if a > 0:
-                acc(out, (a - 1, b), c * a)
-        elif op == "e_y":
-            if b < n:
-                acc(out, (a, b + 1), c * (n - b))
-        elif op == "f_y":
-            if b > 0:
-                acc(out, (a, b - 1), c * b)
-        else:
-            raise ValueError(f"unknown sl2 operator {op!r}")
+        k = coeff(a, b, wt.m, wt.n)
+        if k:
+            acc(out, (a + da, b + db), c * k)
     return out
 
 

@@ -25,6 +25,7 @@ from k4verma import annihilation as an
 from k4verma import coadjoint as co
 from k4verma import conformal as cf
 from k4verma import solver as sv
+from k4verma import verma
 from k4verma.cli import main
 from k4verma.exact import ONE, axpy, scal
 from k4verma.grassmann import MASK_ALL, mask_of
@@ -223,6 +224,31 @@ def test_criterion_05_high_t_powers_annihilate():
                "except t^3 on the top monomial giving -6 (x) Cv", failures)
 
 
+@pytest.mark.parametrize("lmask, lp, tok, criterion, named", [
+    (0, 1, (1, 0), test_criterion_04_closed_form_equals_commutation_oracle,
+     "first failures [((1, 0), "),
+    (MASK_ALL, 3, an.CKEY, test_criterion_05_high_t_powers_annihilate,
+     "first failures [(3, 0, 15, (0, 0))"),
+], ids=["04-t-term", "05-C-term"])
+def test_criteria_04_and_05_fail_on_a_flipped_primal_term(
+        fresh_solver_caches, monkeypatch, lmask, lp, tok, criterion, named):
+    # negative control: the lambda^lp term with token tok of xi_empty on
+    # eta_L changes sign in _primal_base, so t acts wrongly on the vacuum,
+    # or t^3 gives +6 (x) Cv on the top monomial; each criterion must fail
+    # naming the key
+    base = verma._primal_base
+
+    def flipped(imask, l):
+        return tuple((p, -c if (imask, l, p, t) == (0, lmask, lp, tok) else c,
+                      k, l2, t) for p, c, k, l2, t in base(imask, l))
+
+    monkeypatch.setattr(verma, "_primal_base", flipped)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(AssertionError) as exc:
+        criterion()
+    assert named in str(exc.value)
+
+
 @pytest.fixture(scope="module")
 def theorems():
     return _run_cli("verify-theorems", "--max-mn", "3", "--negatives", "30",
@@ -266,19 +292,19 @@ def test_criterion_06_degree_one_classification(theorems):
 
 def test_criterion_07_degree_two_classification(theorems):
     failures = _sweep_failures(theorems)
-    for label, params in (("2a", range(5)), ("2b", range(5)),
-                          ("2c", range(2, 5)), ("2d", range(2, 5))):
-        fam = sv.FAMILIES[label]
-        for p in params:
-            m, n = (0, p) if label in ("2a", "2d") else (p, 0)
-            wt = fam.weight_at(m, n)
-            rep = sv.solve(wt, 2)
-            if rep.kernel_dim != 1 or rep.labels != (label,):
-                failures.append((label, p, rep.kernel_dim, rep.labels))
-    for label, mn in (("2c", (1, 0)), ("2d", (0, 1))):
-        wt = sv.FAMILIES[label].weight_at(*mn)
-        if sv.solve(wt, 2).kernel_dim != 0:
-            failures.append((label, "boundary", mn))
+    count = sum(map(len, _instances(theorems, 2).values()))
+    if count != 12:
+        failures.append(f"expected 12 degree-2 instances, saw {count}")
+    entries = {c["name"]: c for c in theorems["checks"]}
+    for name in ("box-edge 2c (1,0,5/2,-1/2)", "box-edge 2d (0,1,5/2,1/2)"):
+        if entries.get(name, {}).get("kernel_dim") != 0:
+            failures.append(f"boundary {name}: {entries.get(name)}")
+    # the parameter-4 members lie past the report's m, n <= 3
+    for label in ("2a", "2b", "2c", "2d"):
+        m, n = (0, 4) if label in ("2a", "2d") else (4, 0)
+        rep = sv.classify(sv.FAMILIES[label].weight_at(m, n))[2]
+        if rep.kernel_dim != 1 or rep.labels != (label,):
+            failures.append((label, 4, rep.kernel_dim, rep.labels))
     _report(7, "degree-2 kernels match the four families for parameters "
                "<= 4, vanish at the boundary parameter and off the list",
             failures)
@@ -321,15 +347,18 @@ def test_criteria_06_to_08_fail_on_a_wrong_report(monkeypatch, corrupt,
 
 def test_criteria_06_and_08_fail_on_a_missing_instance(theorems):
     # negative control: the report's entries stay ok but lose the instances
-    # 1a(0,0) and 3b(0,1); each criterion must fail naming what it counted
+    # 1a(0,0), 2c(2,0) and 3b(0,1); each criterion must fail naming what it
+    # counted
     rep = copy.deepcopy(theorems)
     for c in rep["checks"]:
         if "instances" in c:
             c["instances"] = [i for i in c["instances"]
-                              if i not in ("1a(0,0)", "3b(0,1)")]
+                              if i not in ("1a(0,0)", "2c(2,0)", "3b(0,1)")]
     for criterion, named in (
             (test_criterion_06_degree_one_classification,
              "expected 49 degree-1 instances, saw 48"),
+            (test_criterion_07_degree_two_classification,
+             "expected 12 degree-2 instances, saw 11"),
             (test_criterion_08_degree_three_classification,
              "degree-3 instances {'weight (1,0,5/2,-1/2)': ['3a(1,0)']}")):
         with contextlib.redirect_stdout(io.StringIO()), \

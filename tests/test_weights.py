@@ -71,6 +71,8 @@ def test_ex_on_small_module():
     assert wt.apply_sl2("e_x", w, {(0, 1): ONE}) == {(1, 1): ONE}
     assert wt.apply_sl2("e_x", w, {(1, 1): ONE}) == {}
     assert wt.apply_sl2("f_y", w, {(1, 1): ONE}) == {(1, 0): ONE}
+    with pytest.raises(ValueError, match="unknown sl2 operator 'g_x'"):
+        wt.apply_sl2("g_x", w, {(0, 1): ONE})
 
 
 def test_xi12_scales_highest_vector():
