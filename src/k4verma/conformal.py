@@ -3,7 +3,9 @@
 K_4 = C[pd] (x) Lambda(4) as a C[pd]-module; a basis element pd^k xi_I is
 the pair (k, mask).  Elements are sparse dicts {(k, mask): ExactScalar}.
 A lambda-bracket value is a polynomial in lambda with element coefficients,
-stored as {lambda_power: element}.
+stored as {lambda_power: element}; `gen_bracket` freezes the bracket of two
+basis elements as (lambda_power, items) tuples, and the axiom checks read
+those tuples in place.
 
 The bracket of two generating fields is
 
@@ -33,13 +35,16 @@ Gen = tuple[int, int]               # (pd power, index mask)
 Element = dict[Gen, ExactScalar]
 LambdaPoly = dict[int, Element]     # lambda power -> element
 
+_MINUS_ONE = scal(-1)
+
 
 def parity(mask: int) -> int:
     return size(mask) & 1
 
 
-def apply_pd(a: Element, times: int = 1) -> Element:
-    return {(k + times, m): c for (k, m), c in a.items()}
+def apply_pd(items, times: int = 1):
+    """pd^times applied to an element given as (gen, scalar) items."""
+    return (((k + times, m), c) for (k, m), c in items)
 
 
 def poly_is_zero(p: LambdaPoly) -> bool:
@@ -74,16 +79,11 @@ def gen_bracket(ka: int, imask: int, kb: int, jmask: int) -> tuple:
     out: LambdaPoly = {}
     for n, items in (gen_bracket(0, imask, 0, jmask) if ka or kb
                      else _base_bracket(imask, jmask)):
-        elem = dict(items)
         # (lambda + pd)^kb, then (-lambda)^ka
         for j in range(kb + 1):
             axpy(out.setdefault(n + j + ka, {}), scal(comb(kb, j) * (-1) ** ka),
-                 apply_pd(elem, kb - j).items())
+                 apply_pd(items, kb - j))
     return tuple((n, tuple(e.items())) for n, e in sorted(out.items()) if e)
-
-
-def _thaw(frozen) -> LambdaPoly:
-    return {n: dict(items) for n, items in frozen}
 
 
 def lambda_bracket(a: Element, b: Element) -> LambdaPoly:
@@ -108,51 +108,37 @@ def k4_basis(max_dpow: int) -> list[Gen]:
 
 # -- axiom checks -----------------------------------------------------------
 
-def minus_lambda_minus_pd(p: LambdaPoly) -> LambdaPoly:
-    """Substitute lambda -> -lambda - pd:  (-lambda-pd)^n applied to coeffs."""
-    out: LambdaPoly = {}
-    for n, elem in p.items():
-        for j in range(n + 1):
-            axpy(out.setdefault(j, {}), scal(comb(n, j) * (-1) ** n),
-                 apply_pd(elem, n - j).items())
-    return out
-
-
-def poly_sub(p: LambdaPoly, q: LambdaPoly, qscale=1) -> LambdaPoly:
-    out = {n: dict(e) for n, e in p.items()}
-    s = -ExactScalar._coerce(qscale)
-    for n, elem in q.items():
-        axpy(out.setdefault(n, {}), s, elem.items())
-    return {n: e for n, e in out.items() if e}
-
-
 def sesquilinearity_defect(a: Gen, b: Gen) -> tuple[LambdaPoly, LambdaPoly]:
-    """Both halves of axiom (iii) as defects (zero iff the axiom holds)."""
+    """Both halves of axiom (iii) as defects (zero iff the axiom holds):
+    [pd a lambda b] + lambda [a lambda b] and
+    [a lambda pd b] - (lambda + pd) [a lambda b]."""
     ka, im = a
     kb, jm = b
-    base = _thaw(gen_bracket(ka, im, kb, jm))
-    # [pd a lambda b] + lambda [a lambda b]
-    lhs1 = _thaw(gen_bracket(ka + 1, im, kb, jm))
-    shifted = {n + 1: dict(e) for n, e in base.items()}
-    d1 = poly_sub(lhs1, shifted, -1)
-    # [a lambda pd b] - (lambda + pd)[a lambda b]
-    lhs2 = _thaw(gen_bracket(ka, im, kb + 1, jm))
-    rhs2: LambdaPoly = {}
-    for n, elem in base.items():
-        axpy(rhs2.setdefault(n + 1, {}), ONE, elem.items())
-        axpy(rhs2.setdefault(n, {}), ONE, apply_pd(elem).items())
-    d2 = poly_sub(lhs2, rhs2)
-    return d1, d2
+    d1: LambdaPoly = {}
+    d2: LambdaPoly = {}
+    for n, items in gen_bracket(ka + 1, im, kb, jm):
+        axpy(d1.setdefault(n, {}), ONE, items)
+    for n, items in gen_bracket(ka, im, kb + 1, jm):
+        axpy(d2.setdefault(n, {}), ONE, items)
+    for n, items in gen_bracket(ka, im, kb, jm):
+        axpy(d1.setdefault(n + 1, {}), ONE, items)
+        axpy(d2.setdefault(n + 1, {}), _MINUS_ONE, items)
+        axpy(d2.setdefault(n, {}), _MINUS_ONE, apply_pd(items))
+    return tuple({n: e for n, e in d.items() if e} for d in (d1, d2))
 
 
 def skew_defect(a: Gen, b: Gen) -> LambdaPoly:
-    """[a lambda b] + (-1)^{p(a)p(b)} [b_{-lambda-pd} a]; zero iff skew holds."""
-    ka, im = a
-    kb, jm = b
-    lhs = _thaw(gen_bracket(ka, im, kb, jm))
-    conj = minus_lambda_minus_pd(_thaw(gen_bracket(kb, jm, ka, im)))
-    sgn = (-1) ** (parity(im) * parity(jm))
-    return poly_sub(lhs, conj, -sgn)
+    """[a lambda b] + (-1)^{p(a)p(b)} [b_{-lambda-pd} a], expanding each
+    (-lambda - pd)^n binomially; zero iff skew holds."""
+    sgn = (-1) ** (parity(a[1]) * parity(b[1]))
+    out: LambdaPoly = {}
+    for n, items in gen_bracket(*a, *b):
+        axpy(out.setdefault(n, {}), ONE, items)
+    for n, items in gen_bracket(*b, *a):
+        for j in range(n + 1):
+            axpy(out.setdefault(j, {}), scal(sgn * comb(n, j) * (-1) ** n),
+                 apply_pd(items, n - j))
+    return {n: e for n, e in out.items() if e}
 
 
 BiPoly = dict[tuple[int, int], Element]  # (lambda power, mu power) -> element

@@ -22,7 +22,7 @@ their kernel K0 (at most four vectors for m, n <= 3) and splits the
 other rows on K0 as A0 + mu_t At + mu_C AC; a dual solve combines these
 at its mu and reduces on K0.  Both routes report in the plain columns,
 so their kernels must coincide.  The Theta-ansatz of the degree bound
-mixes degrees and evaluates the full dual system directly.
+mixes degrees, solves the full dual system directly and returns its kernel.
 """
 
 from __future__ import annotations
@@ -487,38 +487,15 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaBoundReport:
-    kernel: tuple[VVec, ...]   # in T-image coordinates
-    max_theta_seen: int
-    shape_ok: bool
-    no_scalar_term: bool
-
-
-def theta_degree_bound_check(wt: Weight, nmax: int) -> ThetaBoundReport:
-    """Solve on the full ansatz sum_{k <= nmax} Theta^k eta_L (x) v_{L,k}.
-
-    The ansatz mixes all degrees and is solved on the dual route; the
-    kernel is reported in T-image coordinates, where every vector must
-    fit the reduced shape: Theta times terms with |L| >= 3, plus
-    Theta-free terms with |L| >= 1.
-    """
+def theta_ansatz_kernel(wt: Weight, nmax: int) -> tuple[VVec, ...]:
+    """The canonical kernel, in T-image coordinates, of the full ansatz
+    sum_{k <= nmax} Theta^k eta_L (x) v_{L,k}; it mixes all degrees and is
+    solved on the dual route."""
     cols = sorted((k, l, mon) for k in range(nmax + 1)
                   for l in ALL_MASKS for mon in wt.keys())
     unit = [{vk: ONE} for vk in cols]
-    kern = _canonical(map(transform_T, _kernel(_direct_rows(wt, unit).values(),
+    return _canonical(map(transform_T, _kernel(_direct_rows(wt, unit).values(),
                                                unit)), cols)
-    max_seen = 0
-    shape_ok = True
-    no_scalar = True
-    for v in kern:
-        for (k, l, _), c in v.items():
-            max_seen = max(max_seen, k)
-            if not ((k == 0 and l != 0) or (k == 1 and size(l) >= 3)):
-                shape_ok = False
-            if k == 0 and l == 0:
-                no_scalar = False
-    return ThetaBoundReport(kern, max_seen, shape_ok, no_scalar)
 
 
 # ---------------------------------------------------------------------------

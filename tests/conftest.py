@@ -4,6 +4,7 @@ import pkgutil
 import pytest
 
 import k4verma
+from k4verma import conformal
 
 MODULES = [importlib.import_module(f"{k4verma.__name__}.{info.name}")
            for info in pkgutil.iter_modules(k4verma.__path__)]
@@ -23,3 +24,20 @@ def fresh_solver_caches():
     yield caches
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def flipped_xi1_xi2(fresh_solver_caches, monkeypatch):
+    """[xi_1 lambda xi_2], masks (1, 2), changes sign ahead of gen_bracket's
+    memo, so every pd power of it and every bracket read through
+    gen_bracket carries the flip."""
+    base = conformal._base_bracket
+
+    def flipped(imask, jmask):
+        frozen = base(imask, jmask)
+        if (imask, jmask) != (1, 2):
+            return frozen
+        return tuple((n, tuple((g, -c) for g, c in items))
+                     for n, items in frozen)
+
+    monkeypatch.setattr(conformal, "_base_bracket", flipped)

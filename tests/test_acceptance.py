@@ -24,6 +24,7 @@ import pytest
 from k4verma import annihilation as an
 from k4verma import coadjoint as co
 from k4verma import conformal as cf
+from k4verma import morphisms as mo
 from k4verma import solver as sv
 from k4verma import verma
 from k4verma.cli import main
@@ -41,6 +42,15 @@ def _report(num: int, desc: str, failures: list) -> None:
     ok = not failures
     print(f"criterion {num:02d} [{'PASS' if ok else 'FAIL'}] {desc}")
     assert ok, f"criterion {num}: first failures {failures[:5]}"
+
+
+def _fails(criterion, *args) -> str:
+    """Run a criterion that must fail, without its summary line, and
+    return its assertion message."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            pytest.raises(AssertionError) as exc:
+        criterion(*args)
+    return str(exc.value)
 
 
 def _run_cli(*argv: str) -> dict:
@@ -75,6 +85,23 @@ def test_criterion_01_conformal_axioms(axioms):
                "derivative powers <= 2", failures)
 
 
+def test_criterion_01_fails_on_a_flipped_bracket(flipped_xi1_xi2):
+    # negative control: [xi_1 lambda xi_2] changes sign; the sweep must
+    # name the skew and Jacobi failures on that pair, and the criterion
+    # must fail on the entry, whose counterexamples are repr strings, so
+    # _report escapes their quotes; the Lie route reads the same bracket,
+    # so the quotient morphism fails too
+    short = _run_cli("axioms", "--max-tpow", "0", "--max-dpow", "0")
+    entries = {c["name"]: c for c in short["checks"]}
+    assert entries["conformal-axioms"]["counterexamples"] == [
+        "('skew', (0, 1), (0, 2))", "('skew', (0, 2), (0, 1))",
+        "('jacobi', (0, 1), (0, 1), (0, 2))"]
+    assert {name for name, c in entries.items() if not c["ok"]} \
+        == {"conformal-axioms", "quotient-morphism"}
+    assert r"\'name\': \'conformal-axioms\', \'ok\': False" \
+        in _fails(test_criterion_01_conformal_axioms, short)
+
+
 def test_criterion_02_annihilation_jacobi_and_cocycle(axioms):
     failures = _entry_failures(axioms, {
         "annihilation-jacobi": {"triples": 64 ** 3},
@@ -92,11 +119,8 @@ def test_criterion_02_fails_on_a_short_jacobi_sweep(monkeypatch):
     jac = {"name": "annihilation-jacobi", "ok": True, "triples": 0,
            "counterexamples": []}
     assert jac in short["checks"]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            pytest.raises(AssertionError) as exc:
-        test_criterion_02_annihilation_jacobi_and_cocycle(short)
     assert f"{jac}, expected {{'triples': {64 ** 3}, 'ok': True}}" \
-        in str(exc.value)
+        in _fails(test_criterion_02_annihilation_jacobi_and_cocycle, short)
 
 
 def test_criterion_03_quotient_morphism_and_kernel(axioms):
@@ -121,10 +145,8 @@ def test_criterion_03_fails_when_phi_merges_two_keys(monkeypatch):
     entry = {"name": "kernel-is-central", "ok": False,
              "counterexamples": [repr(xi1), repr(xi2)]}
     assert entry in short["checks"]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            pytest.raises(AssertionError) as exc:
-        test_criterion_03_quotient_morphism_and_kernel(short)
-    assert f"{entry}, expected {{'ok': True}}" in str(exc.value)
+    assert f"{entry}, expected {{'ok': True}}" \
+        in _fails(test_criterion_03_quotient_morphism_and_kernel, short)
 
 
 _SAMPLED_MU = [
@@ -243,10 +265,7 @@ def test_criteria_04_and_05_fail_on_a_flipped_primal_term(
                       k, l2, t) for p, c, k, l2, t in base(imask, l))
 
     monkeypatch.setattr(verma, "_primal_base", flipped)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            pytest.raises(AssertionError) as exc:
-        criterion()
-    assert named in str(exc.value)
+    assert named in _fails(criterion)
 
 
 @pytest.fixture(scope="module")
@@ -339,10 +358,7 @@ def test_criteria_06_to_08_fail_on_a_wrong_report(monkeypatch, corrupt,
     for criterion in (test_criterion_06_degree_one_classification,
                       test_criterion_07_degree_two_classification,
                       test_criterion_08_degree_three_classification):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                pytest.raises(AssertionError) as exc:
-            criterion(rep)
-        assert named in str(exc.value), criterion.__name__
+        assert named in _fails(criterion, rep), criterion.__name__
 
 
 def test_criteria_06_and_08_fail_on_a_missing_instance(theorems):
@@ -361,10 +377,7 @@ def test_criteria_06_and_08_fail_on_a_missing_instance(theorems):
              "expected 12 degree-2 instances, saw 11"),
             (test_criterion_08_degree_three_classification,
              "degree-3 instances {'weight (1,0,5/2,-1/2)': ['3a(1,0)']}")):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                pytest.raises(AssertionError) as exc:
-            criterion(rep)
-        assert named in str(exc.value), criterion.__name__
+        assert named in _fails(criterion, rep), criterion.__name__
 
 
 def test_criterion_09_no_higher_degrees():
@@ -377,21 +390,18 @@ def test_criterion_09_no_higher_degrees():
                 failures.append((wt, d))
     for label, mn in (("3a", (1, 0)), ("2d", (0, 4))):
         wt, vec = sv.build_theorem_vector(label, *mn)
-        deep = sv.theta_degree_bound_check(wt, 5)
-        base = sv.theta_degree_bound_check(wt, 3)
-        # T of the family vector and eta_1234 (x) the top monomial
+        deep = sv.theta_ansatz_kernel(wt, 5)
+        # T of the family vector and eta_1234 (x) the top monomial; each
+        # term has Theta power <= 1 and the reduced shape, so equality
+        # reproduces the bound and the coefficient reductions
         tvec, top = transform_T(vec), {(0, MASK_ALL, mn): ONE}
         want = sv._canonical([tvec, top], sorted({*tvec, *top}))
-        if deep.kernel != want:
+        if deep != want:
             failures.append((label, f"ansatz kernel of dimension "
-                                    f"{len(deep.kernel)} is not T(family "
+                                    f"{len(deep)} is not T(family "
                                     f"vector) and eta_1234 (x) top"))
-        if deep.kernel != base.kernel:
+        if deep != sv.theta_ansatz_kernel(wt, 3):
             failures.append((label, "ansatz depth changes the kernel"))
-        if not (deep.shape_ok and deep.no_scalar_term):
-            failures.append((label, "reduction shape violated"))
-        if deep.max_theta_seen > 3:
-            failures.append((label, "Theta degree above the bound"))
     _report(9, "degree-4 and degree-5 kernels vanish everywhere swept; "
                "the Theta-ansatz to the fifth power is spanned by T(family "
                "vector) and eta_1234 (x) top, and reproduces the bound and "
@@ -409,11 +419,9 @@ def test_criterion_09_fails_on_a_dual_action_without_lambda_zero(
         return {lp: vec for lp, vec in dual(imask, v, wt).items() if lp}
 
     monkeypatch.setattr(sv, "dual_lambda_action", no_lambda_zero)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            pytest.raises(AssertionError) as exc:
-        test_criterion_09_no_higher_degrees()
+    msg = _fails(test_criterion_09_no_higher_degrees)
     for label in ("3a", "2d"):
-        assert f"('{label}', 'ansatz kernel of dimension" in str(exc.value)
+        assert f"('{label}', 'ansatz kernel of dimension" in msg
 
 
 def test_criterion_10_complexes_and_duality(tmp_path):
@@ -429,6 +437,20 @@ def test_criterion_10_complexes_and_duality(tmp_path):
     _report(10, f"all {paths} directed 2-paths compose to zero in the "
                 "(m,n) <= 3 graph; duality involution and supertraces",
             failures)
+
+
+def test_criterion_10_fails_on_a_negated_lowering(monkeypatch, tmp_path):
+    # negative control: f_x, which evaluate applies to reach each monomial
+    # of the source, changes sign; the compositions that lower through an
+    # odd number of f_x no longer vanish, and the criterion must fail
+    # naming the first such path
+    monkeypatch.setattr(mo, "_F_X", {k: -c for k, c in mo._F_X.items()})
+    rep = mo.check_two_paths(mo.build_complex_graph(3))
+    assert (rep.pairs_checked, len(rep.failures)) == (30, 11)
+    msg = _fails(test_criterion_10_complexes_and_duality, tmp_path)
+    assert "'name': 'two-path-compositions-vanish', 'ok': False, " \
+           "'paths': 30, 'counterexamples': [['1b', [1, 0], '2c', [3, 0]]" \
+        in msg
 
 
 @pytest.fixture(scope="module")
@@ -511,8 +533,6 @@ def _criterion_11_fails_naming(failing: set) -> None:
     rep = json.loads(out.getvalue())
     assert code == 1
     assert {c["name"] for c in rep["checks"] if not c["ok"]} == failing
-    with contextlib.redirect_stdout(io.StringIO()), \
-            pytest.raises(AssertionError) as exc:
-        test_criterion_11_coadjoint_identification(rep)
+    msg = _fails(test_criterion_11_coadjoint_identification, rep)
     for name in failing:
-        assert f"{{'name': '{name}', 'ok': False" in str(exc.value)
+        assert f"{{'name': '{name}', 'ok': False" in msg

@@ -76,14 +76,18 @@ def test_axioms_small_sweep():
     assert rep.triples_checked == 16 ** 3
 
 
-def test_jacobi_defect_detects_corruption():
-    # sanity: a wrong triple is reported, the checker is not vacuous
-    good = cf.jacobi_defect((0, mask_of((1,))), (0, mask_of((2,))), (0, mask_of((1, 2))))
-    assert good == {}
-    bad = cf.poly_sub(
-        {n: dict(e) for n, e in cf.gen_bracket(0, 1, 0, 2)},
-        {0: xi((1, 2))})
-    assert not cf.poly_is_zero(bad)
+def test_jacobi_defect_detects_corruption(flipped_xi1_xi2):
+    # negative control: [xi_1 lambda xi_2] changes sign; the flip carries
+    # through every pd power, so sesquilinearity still holds on the pair,
+    # but skew-symmetry and Jacobi break, and the sweep names the pair
+    xi1, xi2 = (0, mask_of((1,))), (0, mask_of((2,)))
+    assert cf.jacobi_defect(xi1, xi1, xi2)
+    assert not cf.poly_is_zero(cf.skew_defect(xi1, xi2))
+    d1, d2 = cf.sesquilinearity_defect(xi1, xi2)
+    assert cf.poly_is_zero(d1) and cf.poly_is_zero(d2)
+    rep = cf.check_conformal_axioms(0)
+    assert ("skew", xi1, xi2) in rep.failures
+    assert {f[0] for f in rep.failures} == {"skew", "jacobi"}
 
 
 def test_derived_membership():

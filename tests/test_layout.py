@@ -18,7 +18,7 @@ SRC = sorted((ROOT / "src" / "k4verma").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # the tests compare the engine against these; nothing in src/ calls them
-TEST_REFEREES = ("solver.theta_degree_bound_check",)
+TEST_REFEREES = ("solver.theta_ansatz_kernel",)
 
 
 def _name_tokens(path: Path) -> list[tuple[str, int]]:
