@@ -4,8 +4,8 @@ K_4 = C[pd] (x) Lambda(4) as a C[pd]-module; a basis element pd^k xi_I is
 the pair (k, mask).  Elements are sparse dicts {(k, mask): ExactScalar}.
 A lambda-bracket value is a polynomial in lambda with element coefficients,
 stored as {lambda_power: element}; `gen_bracket` freezes the bracket of two
-basis elements as (lambda_power, items) tuples, and the axiom checks read
-those tuples in place.
+basis elements as (lambda_power, items) tuples of ints, which the axiom
+checks contract in place with `iaxpy`; elements and defects hold ExactScalar.
 
 The bracket of two generating fields is
 
@@ -28,14 +28,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .exact import ExactScalar, ONE, acc, axpy, scal
+from .exact import ExactScalar, ONE, axpy, iaxpy, scal
 from .grassmann import DERIVE, MASK_ALL, STAR, size
 
 Gen = tuple[int, int]               # (pd power, index mask)
 Element = dict[Gen, ExactScalar]
 LambdaPoly = dict[int, Element]     # lambda power -> element
-
-_MINUS_ONE = scal(-1)
 
 
 def parity(mask: int) -> int:
@@ -51,17 +49,18 @@ def poly_is_zero(p: LambdaPoly) -> bool:
     return all(not e for e in p.values())
 
 
+def _exact(p: dict) -> dict:
+    """An int-valued polynomial as ExactScalar, empty powers dropped."""
+    return {n: {g: scal(c) for g, c in e.items()} for n, e in p.items() if e}
+
+
 def _base_bracket(imask: int, jmask: int) -> tuple:
     """[xi_I lambda xi_J] for bare generators, frozen as a hashable tuple."""
-    out: dict[int, Element] = {0: {}, 1: {}}
+    out: dict[int, dict] = {0: {}, 1: {}}
     s, m = STAR[imask][jmask]
     if s:
-        c = scal((size(imask) - 2) * s)
-        if not c.is_zero():
-            acc(out[0], (1, m), c)
-        c = scal((size(imask) + size(jmask) - 4) * s)
-        if not c.is_zero():
-            acc(out[1], (0, m), c)
+        iaxpy(out[0], (size(imask) - 2) * s, (((1, m), 1),))
+        iaxpy(out[1], (size(imask) + size(jmask) - 4) * s, (((0, m), 1),))
     sgn = (-1) ** size(imask)
     for i in (1, 2, 3, 4):
         si, mi = DERIVE[i][imask]
@@ -69,20 +68,20 @@ def _base_bracket(imask: int, jmask: int) -> tuple:
         if si and sj:
             st, mm = STAR[mi][mj]
             if st:
-                acc(out[0], (0, mm), scal(sgn * si * sj * st))
+                iaxpy(out[0], sgn * si * sj * st, (((0, mm), 1),))
     return tuple((n, tuple(e.items())) for n, e in out.items() if e)
 
 
 @lru_cache(maxsize=None)
 def gen_bracket(ka: int, imask: int, kb: int, jmask: int) -> tuple:
     """[pd^ka xi_I lambda pd^kb xi_J] as a frozen lambda-polynomial."""
-    out: LambdaPoly = {}
+    out: dict[int, dict] = {}
     for n, items in (gen_bracket(0, imask, 0, jmask) if ka or kb
                      else _base_bracket(imask, jmask)):
         # (lambda + pd)^kb, then (-lambda)^ka
         for j in range(kb + 1):
-            axpy(out.setdefault(n + j + ka, {}), scal(comb(kb, j) * (-1) ** ka),
-                 apply_pd(items, kb - j))
+            iaxpy(out.setdefault(n + j + ka, {}), comb(kb, j) * (-1) ** ka,
+                  apply_pd(items, kb - j))
     return tuple((n, tuple(e.items())) for n, e in sorted(out.items()) if e)
 
 
@@ -93,7 +92,8 @@ def lambda_bracket(a: Element, b: Element) -> LambdaPoly:
         for (kb, jm), cb in b.items():
             cf = ca * cb
             for n, items in gen_bracket(ka, im, kb, jm):
-                axpy(out.setdefault(n, {}), cf, items)
+                axpy(out.setdefault(n, {}), ONE,
+                     ((g, cf * c) for g, c in items))
     return {n: e for n, e in out.items() if e}
 
 
@@ -114,31 +114,30 @@ def sesquilinearity_defect(a: Gen, b: Gen) -> tuple[LambdaPoly, LambdaPoly]:
     [a lambda pd b] - (lambda + pd) [a lambda b]."""
     ka, im = a
     kb, jm = b
-    d1: LambdaPoly = {}
-    d2: LambdaPoly = {}
+    d1, d2 = {}, {}
     for n, items in gen_bracket(ka + 1, im, kb, jm):
-        axpy(d1.setdefault(n, {}), ONE, items)
+        iaxpy(d1.setdefault(n, {}), 1, items)
     for n, items in gen_bracket(ka, im, kb + 1, jm):
-        axpy(d2.setdefault(n, {}), ONE, items)
+        iaxpy(d2.setdefault(n, {}), 1, items)
     for n, items in gen_bracket(ka, im, kb, jm):
-        axpy(d1.setdefault(n + 1, {}), ONE, items)
-        axpy(d2.setdefault(n + 1, {}), _MINUS_ONE, items)
-        axpy(d2.setdefault(n, {}), _MINUS_ONE, apply_pd(items))
-    return tuple({n: e for n, e in d.items() if e} for d in (d1, d2))
+        iaxpy(d1.setdefault(n + 1, {}), 1, items)
+        iaxpy(d2.setdefault(n + 1, {}), -1, items)
+        iaxpy(d2.setdefault(n, {}), -1, apply_pd(items))
+    return _exact(d1), _exact(d2)
 
 
 def skew_defect(a: Gen, b: Gen) -> LambdaPoly:
     """[a lambda b] + (-1)^{p(a)p(b)} [b_{-lambda-pd} a], expanding each
     (-lambda - pd)^n binomially; zero iff skew holds."""
     sgn = (-1) ** (parity(a[1]) * parity(b[1]))
-    out: LambdaPoly = {}
+    out: dict[int, dict] = {}
     for n, items in gen_bracket(*a, *b):
-        axpy(out.setdefault(n, {}), ONE, items)
+        iaxpy(out.setdefault(n, {}), 1, items)
     for n, items in gen_bracket(*b, *a):
         for j in range(n + 1):
-            axpy(out.setdefault(j, {}), scal(sgn * comb(n, j) * (-1) ** n),
-                 apply_pd(items, n - j))
-    return {n: e for n, e in out.items() if e}
+            iaxpy(out.setdefault(j, {}), sgn * comb(n, j) * (-1) ** n,
+                  apply_pd(items, n - j))
+    return _exact(out)
 
 
 BiPoly = dict[tuple[int, int], Element]  # (lambda power, mu power) -> element
@@ -146,24 +145,24 @@ BiPoly = dict[tuple[int, int], Element]  # (lambda power, mu power) -> element
 
 def jacobi_defect(a: Gen, b: Gen, c: Gen) -> BiPoly:
     """[a l [b m c]] - [[a l b] l+m c] - (-1)^{p(a)p(b)} [b m [a l c]]."""
-    out: BiPoly = {}
+    out: dict[tuple[int, int], dict] = {}
     for mpow, items in gen_bracket(*b, *c):
         for (kg, gm), cg in items:
             for npow, inner in gen_bracket(*a, kg, gm):
-                axpy(out.setdefault((npow, mpow), {}), cg, inner)
+                iaxpy(out.setdefault((npow, mpow), {}), cg, inner)
     for npow, items in gen_bracket(*a, *b):
         for (kg, gm), cg in items:
             for mpow, inner in gen_bracket(kg, gm, *c):
                 # substitute the bracket variable by lambda + mu
                 for i in range(mpow + 1):
-                    axpy(out.setdefault((npow + i, mpow - i), {}),
-                         -cg * comb(mpow, i), inner)
-    sgn = scal(-((-1) ** (parity(a[1]) * parity(b[1]))))
+                    iaxpy(out.setdefault((npow + i, mpow - i), {}),
+                          -cg * comb(mpow, i), inner)
+    sgn = -((-1) ** (parity(a[1]) * parity(b[1])))
     for npow, items in gen_bracket(*a, *c):
         for (kg, gm), cg in items:
             for mpow, inner in gen_bracket(*b, kg, gm):
-                axpy(out.setdefault((npow, mpow), {}), sgn * cg, inner)
-    return {k: e for k, e in out.items() if any(not v.is_zero() for v in e.values())}
+                iaxpy(out.setdefault((npow, mpow), {}), sgn * cg, inner)
+    return _exact(out)
 
 
 @dataclass

@@ -4,12 +4,13 @@ Every quantity in this package is a complex number (a + b i) / d with
 Python ints a, b, d, d > 0 and gcd(a, b, d) = 1, so equal values have equal
 fields.  Most structure constants are Gaussian integers (d = 1); the
 arithmetic skips the gcd there, and the imaginary products for real
-operands, and a product with a factor of +-1 (most of them) returns the
-other factor or its negation.  Floating point is never used.  All linear
-algebra is one sparse Gaussian elimination, RowReducer, on dict-rows,
-keeping only pivot rows: matrices have a few hundred rows/columns at most
-but are sparse.  Kernels are sparse dicts, and sparse_nullspace stops
-reading rows at full rank; the one small inverse is a reduction of [A | 1].
+operands; a factor of +-1 (most of them) gives the other factor or its
+negation, and a zero operand of +, - or * gives ZERO, the other or -other.
+Floating point is never used.  All linear algebra is one sparse Gaussian
+elimination, RowReducer, on dict-rows, keeping only pivot rows: matrices
+have a few hundred rows/columns at most but are sparse.  Kernels are
+sparse dicts, and sparse_nullspace stops reading rows at full rank; the
+one small inverse is a reduction of [A | 1].
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class ExactScalar:
     def __add__(self, other: object) -> "ExactScalar":
         if other.__class__ is not ExactScalar:
             other = _coerce(other)
+        if not (other._a or other._b):
+            return self
+        if not (self._a or self._b):
+            return other
         return _add(self, other._a, other._b, other._d)
 
     __radd__ = __add__
@@ -104,6 +109,10 @@ class ExactScalar:
     def __sub__(self, other: object) -> "ExactScalar":
         if other.__class__ is not ExactScalar:
             other = _coerce(other)
+        if not (other._a or other._b):
+            return self
+        if not (self._a or self._b):
+            return _mk(-other._a, -other._b, other._d)
         return _add(self, -other._a, -other._b, other._d)
 
     def __rsub__(self, other: object) -> "ExactScalar":
@@ -114,6 +123,8 @@ class ExactScalar:
             other = _coerce(other)
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
+        if not (a or b) or not (c or e):
+            return ZERO
         # a factor of +-1 returns the other one, or its negation
         if f == 1 and not e and (c == 1 or c == -1):
             return self if c == 1 else _mk(-a, -b, d)
@@ -217,6 +228,15 @@ def axpy(out: dict, coef: ExactScalar, items) -> None:
             out[k] = t
         elif w is not None:
             del out[k]
+
+
+def iaxpy(out: dict, coef: int, items) -> None:
+    """axpy over int coefficients, as the bracket tables hold them."""
+    for k, v in items:
+        if t := out.get(k, 0) + coef * v:
+            out[k] = t
+        else:
+            out.pop(k, None)
 
 
 # ---------------------------------------------------------------------------

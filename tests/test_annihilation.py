@@ -1,10 +1,13 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from k4verma import annihilation as an
-from k4verma.exact import ZERO, scal
-from k4verma.grassmann import MASK_ALL, complement, mask_of, size
+from k4verma import cli
+from k4verma import conformal as cf
+from k4verma.exact import I, ONE, ZERO, axpy, scal
+from k4verma.grassmann import MASK_ALL, STAR, complement, mask_of, size
 
 C = {an.CKEY: scal(1)}
 
@@ -98,6 +101,94 @@ def test_corrupted_cocycle_detected():
     assert not rep.ok
     rep2 = an.check_cocycle(max_tpow=1, psi=corrupt)
     assert not rep2.ok
+
+
+# -- the split Jacobi sweep against the bracket route it replaced ------------
+
+def _jacobi_by_bracket(max_tpow, psi):
+    """check_jacobi's failures as the sweep found them before the
+    plain/central split: each key a one-entry dict, three full brackets,
+    central term included, per triple."""
+    keys = an.basis(max_tpow, with_central=False)
+    singles = {k: {k: ONE} for k in keys}
+    pair = {(x, y): an.bracket(singles[x], singles[y], psi)
+            for x in keys for y in keys}
+    failures = []
+    for a in keys:
+        for b in keys:
+            sgn = scal((-1) ** (an.parity(a) * an.parity(b)))
+            for c in keys:
+                lhs = an.bracket(singles[a], pair[b, c], psi)
+                rhs = an.bracket(pair[a, b], singles[c], psi)
+                axpy(rhs, sgn, an.bracket(singles[b], pair[a, c], psi).items())
+                axpy(lhs, scal(-1), rhs.items())
+                if lhs:
+                    failures.append((a, b, c))
+    return failures
+
+
+XI1 = (0, mask_of((1,)))
+
+
+def _patch_plain_entry(monkeypatch, change):
+    """[xi_1, xi_1] = -1 (the empty monomial) has its coefficient replaced
+    by change(coefficient), for every reader of `_key_bracket_plain`."""
+    plain = an._key_bracket_plain
+
+    def patched(m, im, n, jm):
+        items = plain(m, im, n, jm)
+        if (m, im, n, jm) != (*XI1, *XI1):
+            return items
+        return tuple((k, change(c)) for k, c in items)
+
+    monkeypatch.setattr(an, "_key_bracket_plain", patched)
+
+
+@pytest.mark.parametrize("max_tpow", [0, 1])
+@pytest.mark.parametrize("condition",
+                         ["default", "corrupt-cocycle", "flipped-plain"])
+def test_split_jacobi_matches_the_bracket_route(fresh_solver_caches,
+                                                monkeypatch, condition,
+                                                max_tpow):
+    # referee: the int plain part plus the psi central part fail exactly
+    # the triples, in the same order, that three brackets per triple fail
+    psi = cli._corrupted_psi if condition == "corrupt-cocycle" \
+        else an.psi_default
+    if condition == "flipped-plain":
+        _patch_plain_entry(monkeypatch, lambda c: -c)
+    want = _jacobi_by_bracket(max_tpow, psi)
+    assert bool(want) == (condition != "default")
+    assert an.check_jacobi(max_tpow, psi=psi).failures == want
+
+
+@pytest.mark.parametrize("bad", [scal(Fraction(1, 2)), I])
+def test_int_view_rejects_a_non_integer_entry(fresh_solver_caches,
+                                              monkeypatch, bad):
+    # an entry that is not a real integer is never truncated into the int
+    # contraction: both sweeps raise, naming the key pair and the value
+    _patch_plain_entry(monkeypatch, lambda c: bad)
+    named = re.escape(f"[{XI1}, {XI1}]") + ".*" + re.escape(str(bad))
+    for check in (an.check_jacobi, an.check_cocycle):
+        with pytest.raises(ArithmeticError, match=named):
+            check(0)
+
+
+def test_a_flipped_star_sign_fails_both_jacobi_sweeps(fresh_solver_caches,
+                                                      monkeypatch):
+    # negative control for the int contractions: xi_1 xi_2 = -xi_12 in
+    # the wedge table that both bracket formulas read, while xi_2 xi_1
+    # keeps its sign, breaks the conformal and the annihilation Jacobi;
+    # the annihilation sweep names (xi_1, xi_13, xi_23) among others
+    star = [list(row) for row in STAR]
+    sign, mask = star[1][2]
+    star[1][2] = (-sign, mask)
+    flipped = tuple(map(tuple, star))
+    monkeypatch.setattr(cf, "STAR", flipped)
+    monkeypatch.setattr(an, "STAR", flipped)
+    xi = {i: (0, mask_of((i,))) for i in (1, 2)}
+    conformal = cf.check_conformal_axioms(0).failures
+    assert ("jacobi", xi[1], xi[1], xi[2]) in conformal
+    assert ((0, 1), (0, 5), (0, 6)) in an.check_jacobi(0).failures
 
 
 # -- the K'_4[y] presentation ------------------------------------------------

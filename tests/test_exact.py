@@ -237,6 +237,21 @@ def test_unit_factor_gives_the_general_product(x, u):
     _check_op("*", y, x, u, scal(*x))
 
 
+@given(ops, pairs, st.sampled_from([ZERO, scal(0), 0]), st.booleans())
+def test_zero_operand_short_cuts(op, x, zero, zero_left):
+    # an exact zero on either side of + - * gives the general result in
+    # normal form; a sum with zero, and a product with zero, allocate none
+    s = scal(*x)
+    z = (Fraction(0), Fraction(0))
+    if zero_left:
+        _check_op(op, z, x, zero, s)
+    else:
+        _check_op(op, x, z, s, zero)
+    if s:
+        assert s + zero is s and zero + s is s and s - zero is s
+    assert s * zero is ZERO and zero * s is ZERO
+
+
 @given(pairs)
 def test_negation_conjugate_and_parts(x):
     s = scal(*x)
