@@ -5,7 +5,8 @@ the pair (k, mask).  Elements are sparse dicts {(k, mask): ExactScalar}.
 A lambda-bracket value is a polynomial in lambda with element coefficients,
 stored as {lambda_power: element}; `gen_bracket` freezes the bracket of two
 basis elements as (lambda_power, items) tuples of ints, which the axiom
-checks contract in place with `iaxpy`; elements and defects hold ExactScalar.
+checks and the Lie route of `annihilation` contract in place with `iaxpy`;
+elements and defects hold ExactScalar.
 
 The bracket of two generating fields is
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .exact import ExactScalar, ONE, axpy, iaxpy, scal
+from .exact import ExactScalar, iaxpy, scal
 from .grassmann import DERIVE, MASK_ALL, STAR, size
 
 Gen = tuple[int, int]               # (pd power, index mask)
@@ -83,18 +84,6 @@ def gen_bracket(ka: int, imask: int, kb: int, jmask: int) -> tuple:
             iaxpy(out.setdefault(n + j + ka, {}), comb(kb, j) * (-1) ** ka,
                   apply_pd(items, kb - j))
     return tuple((n, tuple(e.items())) for n, e in sorted(out.items()) if e)
-
-
-def lambda_bracket(a: Element, b: Element) -> LambdaPoly:
-    """Bilinear extension of gen_bracket to sparse elements."""
-    out: LambdaPoly = {}
-    for (ka, im), ca in a.items():
-        for (kb, jm), cb in b.items():
-            cf = ca * cb
-            for n, items in gen_bracket(ka, im, kb, jm):
-                axpy(out.setdefault(n, {}), ONE,
-                     ((g, cf * c) for g, c in items))
-    return {n: e for n, e in out.items() if e}
 
 
 def in_derived(a: Element) -> bool:

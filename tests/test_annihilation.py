@@ -97,16 +97,19 @@ def test_corrupted_cocycle_detected():
             return scal(-3)
         return an.psi_default(a, b)
 
-    rep = an.check_jacobi(max_tpow=1, psi=corrupt)
-    assert not rep.ok
-    rep2 = an.check_cocycle(max_tpow=1, psi=corrupt)
-    assert not rep2.ok
+    # the plain bracket does not read psi; the cocycle sweep, and so the
+    # extension's Jacobi identity, fail
+    jac = an.check_jacobi(max_tpow=1)
+    assert jac.ok
+    coc = an.check_cocycle(max_tpow=1, psi=corrupt)
+    assert not coc.ok
+    assert an.extension_failures(jac, coc)
 
 
-# -- the split Jacobi sweep against the bracket route it replaced ------------
+# -- the split Jacobi sweeps against the bracket route they replaced ---------
 
 def _jacobi_by_bracket(max_tpow, psi):
-    """check_jacobi's failures as the sweep found them before the
+    """The extension's Jacobi failures as the sweep found them before the
     plain/central split: each key a one-entry dict, three full brackets,
     central term included, per triple."""
     keys = an.basis(max_tpow, with_central=False)
@@ -150,15 +153,17 @@ def _patch_plain_entry(monkeypatch, change):
 def test_split_jacobi_matches_the_bracket_route(fresh_solver_caches,
                                                 monkeypatch, condition,
                                                 max_tpow):
-    # referee: the int plain part plus the psi central part fail exactly
-    # the triples, in the same order, that three brackets per triple fail
+    # referee: the plain Jacobi sweep joined with the cocycle sweep fails
+    # exactly the triples, in the same order, that three brackets per
+    # triple, central term included, fail
     psi = cli._corrupted_psi if condition == "corrupt-cocycle" \
         else an.psi_default
     if condition == "flipped-plain":
         _patch_plain_entry(monkeypatch, lambda c: -c)
     want = _jacobi_by_bracket(max_tpow, psi)
     assert bool(want) == (condition != "default")
-    assert an.check_jacobi(max_tpow, psi=psi).failures == want
+    jac, coc = an.check_jacobi(max_tpow), an.check_cocycle(max_tpow, psi=psi)
+    assert an.extension_failures(jac, coc) == want
 
 
 @pytest.mark.parametrize("bad", [scal(Fraction(1, 2)), I])

@@ -8,7 +8,11 @@ from k4verma.grassmann import MASK_ALL, mask_of
 
 
 def lb(a, b):
-    return cf.lambda_bracket(a, b)
+    """[a lambda b] of two single basis fields, read from gen_bracket."""
+    (ka, im), = a
+    (kb, jm), = b
+    return {n: {g: scal(c) for g, c in items}
+            for n, items in cf.gen_bracket(ka, im, kb, jm)}
 
 
 def xi(indices, dpow=0):
@@ -63,7 +67,7 @@ def test_pd_rules_explicit():
 
 
 def test_lambda_degree_at_most_one_on_fields():
-    # lambda_bracket keeps no empty lambda power
+    # gen_bracket keeps no empty lambda power
     for im in range(16):
         for jm in range(16):
             assert max(lb(xi(im), xi(jm)), default=-1) <= 1
