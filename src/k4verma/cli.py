@@ -252,6 +252,10 @@ def cmd_complexes(args) -> int:
     dot_path = os.path.splitext(json_path)[0] + ".dot"
     if dot_path == json_path:
         build_parser().error(f"--out {json_path!r} is where the DOT file goes")
+    try:
+        _out_path(dot_path)
+    except argparse.ArgumentTypeError as exc:
+        build_parser().error(f"the DOT path: {exc}")
     graph = mo.build_complex_graph(args.max_mn)
     checks = [
         _check("duality-involution", mo.duality_is_involution(graph),

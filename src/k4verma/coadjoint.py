@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import annihilation as an
 from .conformal import AxiomReport
-from .exact import ExactScalar, ONE, RowReducer, axpy, scal
+from .exact import ExactScalar, ONE, axpy, scal, sparse_nullspace
 from .grassmann import ALL_MASKS, mask_of
 from .solver import candidate_keys
 from .verma import VVec, act_elem
@@ -130,15 +130,11 @@ def check_phi_iso(max_degree: int) -> IsoReport:
         ind_keys = candidate_keys(WT_COADJOINT, d)
         dual_keys = sorted(an.basis_of_degree(d - 2))
         dims.append(len(ind_keys))
-        if len(ind_keys) != len(dual_keys):
-            bij.append(False)
-            continue
         idx = {k: i for i, k in enumerate(dual_keys)}
-        red = RowReducer(len(dual_keys))
-        for vk in ind_keys:
-            img = phi_image({vk: ONE})
-            red.add_row({idx[k]: c for k, c in img.items()})
-        bij.append(red.rank == len(ind_keys))
+        rows = ({idx[k]: c for k, c in phi_image({vk: ONE}).items()}
+                for vk in ind_keys)
+        bij.append(len(ind_keys) == len(dual_keys)
+                   and not sparse_nullspace(rows, len(dual_keys)))
 
     sample_degree = min(max_degree, 4)
     vecs = [{vk: ONE} for d in range(sample_degree + 1)

@@ -280,10 +280,6 @@ class RowReducer:
                 axpy(prow, -e, newrow.items())
         pivots[lead] = newrow
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
     def nullspace(self) -> list[dict[int, ExactScalar]]:
         """Kernel basis: for each free column f, e_f minus the f-entries of
         the pivot rows (placed at their pivot columns)."""

@@ -178,7 +178,7 @@ def _dual_record(m: int, n: int, d: int) -> _DualRecord:
     for key, row in _direct_rows(wt, [{vk: ONE} for vk in cols]).items():
         if key not in reached:
             red.add_row(row)
-            if red.rank == len(cols):
+            if len(red.pivots) == len(cols):
                 break
     k0 = tuple({cols[i]: c for i, c in vec.items()} for vec in red.nullspace())
     # the images of K0 at mu = 0, (1, 0) and (0, 1) are A0, A0 + At and

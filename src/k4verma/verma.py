@@ -38,8 +38,8 @@ from math import factorial
 
 from . import annihilation as an
 from .exact import ExactScalar, ONE, acc, axpy, scal
-from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, STAR, complement,
-                        derive_seq, indices_of, normalize, size)
+from .grassmann import (DERIVE, EPS, HODGE, STAR, complement, derive_seq,
+                        indices_of, normalize, size)
 from .weights import MonKey, Weight, act_g0, pair_mask
 
 VKey = tuple[int, int, MonKey]      # (Theta power, eta mask, F monomial)
@@ -109,16 +109,17 @@ def w_mul(label: str, v: VVec) -> VVec:
 # -- the closed-form lambda action --------------------------------------------
 
 def _primal_base(imask: int, lmask: int) -> tuple:
-    """Terms of xi_I lambda (eta_L (x) v), Theta power zero."""
+    """Terms of xi_I lambda (eta_L (x) v), Theta power zero.  C enters at
+    lambda^p, p = 3 - |I| >= 0, as (-1)^(p(p-1)/2) eps_I d_{I^c} eta_L (x) Cv."""
     terms: list = []
     ilen = size(imask)
     isign = (-1) ** ilen
     iidx = indices_of(imask)
+    s0, l0 = derive_seq(iidx, lmask)    # the Theta and the t term read it
 
     # lambda^0
-    s, l2 = derive_seq(iidx, lmask)
-    if s and (ilen - 2):
-        terms.append((0, scal(isign * (ilen - 2) * s), 1, l2, None))
+    if s0 and (ilen - 2):
+        terms.append((0, scal(isign * (ilen - 2) * s0), 1, l0, None))
     for i in iidx:
         s1, i2 = DERIVE[i][imask]
         ss, sl = STAR[1 << (i - 1)][lmask]
@@ -137,15 +138,10 @@ def _primal_base(imask: int, lmask: int) -> tuple:
                         if ps:
                             terms.append((0, scal(isign * s1 * s2 * ps), 0, l2,
                                           (0, pm)))
-    if ilen == 3:
-        s, l2 = derive_seq(indices_of(complement(imask)), lmask)
-        if s:
-            terms.append((0, scal(EPS[imask] * s), 0, l2, an.CKEY))
 
     # lambda^1
-    s, l2 = derive_seq(iidx, lmask)
-    if s:
-        terms.append((1, scal(isign * s), 0, l2, (1, 0)))
+    if s0:
+        terms.append((1, scal(isign * s0), 0, l0, (1, 0)))
     lsign = (-1) ** (ilen + size(lmask))
     for i in (1, 2, 3, 4):
         s1, l1 = derive_seq(iidx + (i,), lmask)
@@ -166,10 +162,6 @@ def _primal_base(imask: int, lmask: int) -> tuple:
                 ps, pm = pair_mask(j, i)
                 if ps:
                     terms.append((1, scal(s1 * s2 * s3 * ps), 0, l2, (0, pm)))
-    if ilen == 2:
-        s, l2 = derive_seq(indices_of(complement(imask)), lmask)
-        if s:
-            terms.append((1, scal(EPS[imask] * s), 0, l2, an.CKEY))
 
     # lambda^2
     for i in (1, 2, 3, 4):
@@ -179,16 +171,14 @@ def _primal_base(imask: int, lmask: int) -> tuple:
                 ps, pm = pair_mask(j, i)
                 if ps:
                     terms.append((2, scal(isign * s * ps), 0, l2, (0, pm)))
-    if ilen == 1:
+
+    # C, at lambda^(3 - |I|)
+    p = 3 - ilen
+    if p >= 0:
         s, l2 = derive_seq(indices_of(complement(imask)), lmask)
         if s:
-            terms.append((2, scal(-EPS[imask] * s), 0, l2, an.CKEY))
-
-    # lambda^3
-    if ilen == 0:
-        s, l2 = derive_seq((1, 2, 3, 4), lmask)
-        if s:
-            terms.append((3, scal(-s), 0, l2, an.CKEY))
+            terms.append((p, scal((-1) ** (p * (p - 1) // 2) * EPS[imask] * s),
+                          0, l2, an.CKEY))
     return tuple(terms)
 
 
@@ -211,16 +201,17 @@ def _primal_template(imask: int, k: int, lmask: int) -> tuple:
 
 
 def _dual_base(imask: int, lmask: int) -> tuple:
-    """The Hodge-transported action on the dual-side monomial eta_L."""
+    """The Hodge-transported action on eta_L.  C enters at lambda^(3 - |I|)
+    as in _primal_base, read through STAR[I^c][L] and times pref."""
     terms: list = []
     ilen = size(imask)
     iidx = indices_of(imask)
     pref = (-1) ** ((ilen * (ilen + 1)) // 2 + ilen * size(lmask))
+    s0, m0 = STAR[imask][lmask]         # the Theta and the t term read it
 
     # lambda^0
-    ss, m = STAR[imask][lmask]
-    if ss and (ilen - 2):
-        terms.append((0, scal(pref * (ilen - 2) * ss), 1, m, None))
+    if s0 and (ilen - 2):
+        terms.append((0, scal(pref * (ilen - 2) * s0), 1, m0, None))
     for i in iidx:
         s1, i2 = DERIVE[i][imask]
         s2, l2 = DERIVE[i][lmask]
@@ -240,22 +231,17 @@ def _dual_base(imask: int, lmask: int) -> tuple:
                         if ps:
                             terms.append((0, scal(-pref * s1 * s2 * ps),
                                           0, m, (0, pm)))
-    if ilen == 3:
-        s1, m = STAR[complement(imask)][lmask]
-        if s1:
-            terms.append((0, scal(pref * EPS[imask] * s1), 0, m, an.CKEY))
 
     # lambda^1
-    ss, m = STAR[imask][lmask]
-    if ss:
-        terms.append((1, scal(pref * ss), 0, m, (1, 0)))
+    if s0:
+        terms.append((1, scal(pref * s0), 0, m0, (1, 0)))
     for i in (1, 2, 3, 4):
         s1, ii = normalize(iidx + (i,))
         if not s1:
             continue
-        s2, m0 = STAR[ii][lmask]
+        s2, m1 = STAR[ii][lmask]
         if s2:
-            s3, m = DERIVE[i][m0]
+            s3, m = DERIVE[i][m1]
             if s3:
                 terms.append((1, scal(-pref * (-1) ** ilen * s1 * s2 * s3),
                               0, m, None))
@@ -275,10 +261,6 @@ def _dual_base(imask: int, lmask: int) -> tuple:
                 if ps:
                     terms.append((1, scal(pref * (-1) ** ilen * s1 * s2 * s3 * ps),
                                   0, m, (0, pm)))
-    if ilen == 2:
-        s1, m = STAR[complement(imask)][lmask]
-        if s1:
-            terms.append((1, scal(pref * EPS[imask] * s1), 0, m, an.CKEY))
 
     # lambda^2
     for i in (1, 2, 3, 4):
@@ -291,16 +273,14 @@ def _dual_base(imask: int, lmask: int) -> tuple:
                 ps, pm = pair_mask(j, i)
                 if ps:
                     terms.append((2, scal(-pref * s1 * s2 * ps), 0, m, (0, pm)))
-    if ilen == 1:
+
+    # C, at lambda^(3 - |I|)
+    p = 3 - ilen
+    if p >= 0:
         s1, m = STAR[complement(imask)][lmask]
         if s1:
-            terms.append((2, scal(-pref * EPS[imask] * s1), 0, m, an.CKEY))
-
-    # lambda^3
-    if ilen == 0:
-        s1, m = STAR[MASK_ALL][lmask]
-        if s1:
-            terms.append((3, scal(-pref * s1), 0, m, an.CKEY))
+            terms.append((p, scal((-1) ** (p * (p - 1) // 2) * pref * EPS[imask]
+                                  * s1), 0, m, an.CKEY))
     return tuple(terms)
 
 

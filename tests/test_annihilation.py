@@ -183,7 +183,8 @@ def test_a_flipped_star_sign_fails_both_jacobi_sweeps(fresh_solver_caches,
     # negative control for the int contractions: xi_1 xi_2 = -xi_12 in
     # the wedge table that both bracket formulas read, while xi_2 xi_1
     # keeps its sign, breaks the conformal and the annihilation Jacobi;
-    # the annihilation sweep names (xi_1, xi_13, xi_23) among others
+    # the annihilation sweeps name (xi_1, xi_13, xi_23) among others, and
+    # exactly the triples that the three-bracket referee fails
     star = [list(row) for row in STAR]
     sign, mask = star[1][2]
     star[1][2] = (-sign, mask)
@@ -193,7 +194,10 @@ def test_a_flipped_star_sign_fails_both_jacobi_sweeps(fresh_solver_caches,
     xi = {i: (0, mask_of((i,))) for i in (1, 2)}
     conformal = cf.check_conformal_axioms(0).failures
     assert ("jacobi", xi[1], xi[1], xi[2]) in conformal
-    assert ((0, 1), (0, 5), (0, 6)) in an.check_jacobi(0).failures
+    jac = an.check_jacobi(0)
+    assert ((0, 1), (0, 5), (0, 6)) in jac.failures
+    assert an.extension_failures(jac, an.check_cocycle(0)) \
+        == _jacobi_by_bracket(0, an.psi_default)
 
 
 # -- the K'_4[y] presentation ------------------------------------------------

@@ -310,6 +310,18 @@ def test_negative_bounds_are_usage_errors(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_directory_at_the_dot_path_is_a_usage_error(tmp_path):
+    # the DOT path is checked as --out is, before anything is written
+    for out, dot in ((["--out", str(tmp_path / "g.json")],
+                      str(tmp_path / "g.dot")), ([], "graph.dot")):
+        (tmp_path / dot).mkdir()
+        assert f"the DOT path: {dot!r} is a directory" in usage_error(
+            tmp_path, "complexes", "--max-mn", "0", *out), out
+    dirs = sorted(tmp_path.iterdir())
+    assert [p.name for p in dirs] == ["g.dot", "graph.dot"]
+    assert not any(any(p.iterdir()) for p in dirs)
+
+
 def test_empty_out_path_is_a_usage_error(tmp_path):
     # an empty --out would otherwise fall back to stdout or to graph.json
     for argv in (["axioms", "--max-tpow", "0", "--max-dpow", "0"],
