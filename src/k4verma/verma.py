@@ -26,9 +26,9 @@ Three independent implementations of the module action live here.
    for the two closed forms.
 
 All three are compiled to weight-independent symbolic templates keyed on
-(generator, Theta power, eta mask), so sweeping thousands of weights reuses
-the same symbolic expansion.  A term scales the frozen image act_g0 gives
-its token by its coefficient; `act` reads a cached slice of one lambda power.
+(generator, Theta power, eta mask), one slice of terms per lambda power, so
+sweeping thousands of weights reuses them.  One pass evaluates one slice on
+one monomial into one flat vector, each term scaling act_g0's frozen image.
 """
 
 from __future__ import annotations
@@ -38,17 +38,17 @@ from math import factorial
 
 from . import annihilation as an
 from .exact import ExactScalar, ONE, acc, axpy, scal
-from .grassmann import (DERIVE, EPS, HODGE, STAR, complement, derive_seq,
-                        indices_of, normalize, size)
+from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, STAR, complement,
+                        derive_seq, indices_of, normalize, size)
 from .weights import MonKey, Weight, act_g0, pair_mask
 
 VKey = tuple[int, int, MonKey]      # (Theta power, eta mask, F monomial)
 VVec = dict[VKey, ExactScalar]
 LambdaVal = dict[int, VVec]
 
-# template term: (lambda power, coeff, Theta power, eta mask, token); the
-# token is None (the identity) or the degree-zero key that acts on F:
-# (1, 0) for t, an.CKEY for C and (0, pair mask) for xi_pair
+# template: slice j holds the lambda^j terms (coeff, Theta power, eta mask,
+# token); the token is None (the identity) or the degree-zero key that acts
+# on F: (1, 0) for t, an.CKEY for C and (0, pair mask) for xi_pair
 
 
 def degree(v: VVec):
@@ -109,9 +109,9 @@ def w_mul(label: str, v: VVec) -> VVec:
 # -- the closed-form lambda action --------------------------------------------
 
 def _primal_base(imask: int, lmask: int) -> tuple:
-    """Terms of xi_I lambda (eta_L (x) v), Theta power zero.  C enters at
+    """Slices of xi_I lambda (eta_L (x) v), Theta power zero.  C enters at
     lambda^p, p = 3 - |I| >= 0, as (-1)^(p(p-1)/2) eps_I d_{I^c} eta_L (x) Cv."""
-    terms: list = []
+    terms: tuple = ([], [], [], [])
     ilen = size(imask)
     isign = (-1) ** ilen
     iidx = indices_of(imask)
@@ -119,14 +119,14 @@ def _primal_base(imask: int, lmask: int) -> tuple:
 
     # lambda^0
     if s0 and (ilen - 2):
-        terms.append((0, scal(isign * (ilen - 2) * s0), 1, l0, None))
+        terms[0].append((scal(isign * (ilen - 2) * s0), 1, l0, None))
     for i in iidx:
         s1, i2 = DERIVE[i][imask]
         ss, sl = STAR[1 << (i - 1)][lmask]
         if s1 and ss:
             s2, l2 = derive_seq(indices_of(i2), sl)
             if s2:
-                terms.append((0, scal(s1 * ss * s2), 0, l2, None))
+                terms[0].append((scal(s1 * ss * s2), 0, l2, None))
     for i in iidx:
         for j in iidx:
             if i < j:
@@ -136,19 +136,19 @@ def _primal_base(imask: int, lmask: int) -> tuple:
                     if s2:
                         ps, pm = pair_mask(j, i)
                         if ps:
-                            terms.append((0, scal(isign * s1 * s2 * ps), 0, l2,
-                                          (0, pm)))
+                            terms[0].append((scal(isign * s1 * s2 * ps), 0,
+                                             l2, (0, pm)))
 
     # lambda^1
     if s0:
-        terms.append((1, scal(isign * s0), 0, l0, (1, 0)))
+        terms[1].append((scal(isign * s0), 0, l0, (1, 0)))
     lsign = (-1) ** (ilen + size(lmask))
     for i in (1, 2, 3, 4):
         s1, l1 = derive_seq(iidx + (i,), lmask)
         if s1:
             ss, l2 = STAR[l1][1 << (i - 1)]
             if ss:
-                terms.append((1, scal(lsign * s1 * ss), 0, l2, None))
+                terms[1].append((scal(lsign * s1 * ss), 0, l2, None))
     for i in iidx:
         s1, i2 = DERIVE[i][imask]
         for j in (1, 2, 3, 4):
@@ -161,7 +161,7 @@ def _primal_base(imask: int, lmask: int) -> tuple:
             if s3:
                 ps, pm = pair_mask(j, i)
                 if ps:
-                    terms.append((1, scal(s1 * s2 * s3 * ps), 0, l2, (0, pm)))
+                    terms[1].append((scal(s1 * s2 * s3 * ps), 0, l2, (0, pm)))
 
     # lambda^2
     for i in (1, 2, 3, 4):
@@ -170,27 +170,29 @@ def _primal_base(imask: int, lmask: int) -> tuple:
             if s:
                 ps, pm = pair_mask(j, i)
                 if ps:
-                    terms.append((2, scal(isign * s * ps), 0, l2, (0, pm)))
+                    terms[2].append((scal(isign * s * ps), 0, l2, (0, pm)))
 
     # C, at lambda^(3 - |I|)
     p = 3 - ilen
     if p >= 0:
         s, l2 = derive_seq(indices_of(complement(imask)), lmask)
         if s:
-            terms.append((p, scal((-1) ** (p * (p - 1) // 2) * EPS[imask] * s),
-                          0, l2, an.CKEY))
-    return tuple(terms)
+            terms[p].append((scal((-1) ** (p * (p - 1) // 2) * EPS[imask] * s),
+                             0, l2, an.CKEY))
+    return tuple(map(tuple, terms))
 
 
 def _theta_step(prev: tuple, imask: int, kprev: int, lmask: int) -> tuple:
     """V_k = (Theta + lambda) V_{k-1} - chi_{|I|=4} eps_I Theta^{k-1} eta_L Cv."""
-    out: dict = {}
-    for (lp, c, k2, l2, tok) in prev:
-        acc(out, (lp, k2 + 1, l2, tok), c)
-        acc(out, (lp + 1, k2, l2, tok), c)
+    out: list = [{} for _ in range(len(prev) + 1)]
+    for j, terms in enumerate(prev):
+        for c, k2, l2, tok in terms:
+            acc(out[j], (k2 + 1, l2, tok), c)
+            acc(out[j + 1], (k2, l2, tok), c)
     if size(imask) == 4:
-        acc(out, (0, kprev, lmask, an.CKEY), scal(-EPS[imask]))
-    return tuple((lp, c, k2, l2, tok) for (lp, k2, l2, tok), c in out.items())
+        acc(out[0], (kprev, lmask, an.CKEY), scal(-EPS[imask]))
+    return tuple(tuple((c, k2, l2, tok) for (k2, l2, tok), c in s.items())
+                 for s in out)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +205,7 @@ def _primal_template(imask: int, k: int, lmask: int) -> tuple:
 def _dual_base(imask: int, lmask: int) -> tuple:
     """The Hodge-transported action on eta_L.  C enters at lambda^(3 - |I|)
     as in _primal_base, read through STAR[I^c][L] and times pref."""
-    terms: list = []
+    terms: tuple = ([], [], [], [])
     ilen = size(imask)
     iidx = indices_of(imask)
     pref = (-1) ** ((ilen * (ilen + 1)) // 2 + ilen * size(lmask))
@@ -211,15 +213,15 @@ def _dual_base(imask: int, lmask: int) -> tuple:
 
     # lambda^0
     if s0 and (ilen - 2):
-        terms.append((0, scal(pref * (ilen - 2) * s0), 1, m0, None))
+        terms[0].append((scal(pref * (ilen - 2) * s0), 1, m0, None))
     for i in iidx:
         s1, i2 = DERIVE[i][imask]
         s2, l2 = DERIVE[i][lmask]
         if s1 and s2:
             s3, m = STAR[i2][l2]
             if s3:
-                terms.append((0, scal(-pref * (-1) ** ilen * s1 * s2 * s3),
-                              0, m, None))
+                terms[0].append((scal(-pref * (-1) ** ilen * s1 * s2 * s3),
+                                 0, m, None))
     for r in iidx:
         for s_ in iidx:
             if r < s_:
@@ -229,12 +231,12 @@ def _dual_base(imask: int, lmask: int) -> tuple:
                     if s2:
                         ps, pm = pair_mask(s_, r)
                         if ps:
-                            terms.append((0, scal(-pref * s1 * s2 * ps),
-                                          0, m, (0, pm)))
+                            terms[0].append((scal(-pref * s1 * s2 * ps),
+                                             0, m, (0, pm)))
 
     # lambda^1
     if s0:
-        terms.append((1, scal(pref * s0), 0, m0, (1, 0)))
+        terms[1].append((scal(pref * s0), 0, m0, (1, 0)))
     for i in (1, 2, 3, 4):
         s1, ii = normalize(iidx + (i,))
         if not s1:
@@ -243,8 +245,8 @@ def _dual_base(imask: int, lmask: int) -> tuple:
         if s2:
             s3, m = DERIVE[i][m1]
             if s3:
-                terms.append((1, scal(-pref * (-1) ** ilen * s1 * s2 * s3),
-                              0, m, None))
+                terms[1].append((scal(-pref * (-1) ** ilen * s1 * s2 * s3),
+                                 0, m, None))
     for j in (1, 2, 3, 4):
         s1, ij = normalize(iidx + (j,))
         if not s1:
@@ -259,8 +261,8 @@ def _dual_base(imask: int, lmask: int) -> tuple:
             if s3:
                 ps, pm = pair_mask(j, i)
                 if ps:
-                    terms.append((1, scal(pref * (-1) ** ilen * s1 * s2 * s3 * ps),
-                                  0, m, (0, pm)))
+                    terms[1].append((scal(pref * (-1) ** ilen * s1 * s2 * s3
+                                          * ps), 0, m, (0, pm)))
 
     # lambda^2
     for i in (1, 2, 3, 4):
@@ -272,16 +274,16 @@ def _dual_base(imask: int, lmask: int) -> tuple:
             if s2:
                 ps, pm = pair_mask(j, i)
                 if ps:
-                    terms.append((2, scal(-pref * s1 * s2 * ps), 0, m, (0, pm)))
+                    terms[2].append((scal(-pref * s1 * s2 * ps), 0, m, (0, pm)))
 
     # C, at lambda^(3 - |I|)
     p = 3 - ilen
     if p >= 0:
         s1, m = STAR[complement(imask)][lmask]
         if s1:
-            terms.append((p, scal((-1) ** (p * (p - 1) // 2) * pref * EPS[imask]
+            terms[p].append((scal((-1) ** (p * (p - 1) // 2) * pref * EPS[imask]
                                   * s1), 0, m, an.CKEY))
-    return tuple(terms)
+    return tuple(map(tuple, terms))
 
 
 @lru_cache(maxsize=None)
@@ -292,31 +294,33 @@ def _dual_template(imask: int, k: int, lmask: int) -> tuple:
 
 
 def _eval_template(terms, mon: MonKey, coeff: ExactScalar, wt: Weight,
-                   out: LambdaVal) -> None:
-    for lp, c, k2, l2, tok in terms:
-        target = out.setdefault(lp, {})
-        cc = coeff * c
+                   out: VVec) -> None:
+    unit = coeff is ONE or coeff == ONE
+    for c, k2, l2, tok in terms:
+        cc = c if unit else coeff * c
         if tok is None:
-            acc(target, (k2, l2, mon), cc)
+            acc(out, (k2, l2, mon), cc)
             continue
         for m, v in act_g0(tok, wt, mon):
-            acc(target, (k2, l2, m), v * cc)
+            acc(out, (k2, l2, m), v * cc)
 
 
-def _lambda_expand(template, v: VVec, wt: Weight) -> LambdaVal:
-    """Evaluate template(k, lmask) on each term of v, by lambda power."""
+def _lambda_expand(template, imask: int, v: VVec, wt: Weight) -> LambdaVal:
+    """Evaluate the slices of template(imask, k, lmask) on each term of v."""
     out: LambdaVal = {}
     for (k, l, mon), c in v.items():
-        _eval_template(template(k, l), mon, c, wt, out)
-    return {lp: vv for lp, vv in out.items() if vv}
+        for j, terms in enumerate(template(imask, k, l)):
+            if terms:
+                _eval_template(terms, mon, c, wt, out.setdefault(j, {}))
+    return {j: vv for j, vv in out.items() if vv}
 
 
 def lambda_action(imask: int, v: VVec, wt: Weight) -> LambdaVal:
-    return _lambda_expand(lambda k, l: _primal_template(imask, k, l), v, wt)
+    return _lambda_expand(_primal_template, imask, v, wt)
 
 
 def dual_lambda_action(imask: int, v: VVec, wt: Weight) -> LambdaVal:
-    return _lambda_expand(lambda k, l: _dual_template(imask, k, l), v, wt)
+    return _lambda_expand(_dual_template, imask, v, wt)
 
 
 def transform_T(v: VVec) -> VVec:
@@ -331,17 +335,19 @@ def transform_T(v: VVec) -> VVec:
 
 @lru_cache(maxsize=None)
 def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
-    """Symbolic action of the key (m, imask) on Theta^k eta_L (x) w, as
-    template terms at lambda power 0; C is central, so for CKEY the
-    recursion leaves the one term ((0, ONE, k, lmask, CKEY),)."""
+    """Symbolic action of the key (m, imask) on Theta^k eta_L (x) w, as the
+    one template slice, at lambda power 0; C is central, so for CKEY the
+    recursion leaves the one term ((ONE, k, lmask, CKEY),)."""
+    if not 0 <= imask <= MASK_ALL or (m < 0 and (m, imask) != an.CKEY):
+        raise ValueError(f"{(m, imask)} is not a basis key")
     out: dict = {}
     if k > 0:
         # a.(Theta u) = [a, Theta].u + Theta.(a.u)
         br = an.bracket({(m, imask): ONE}, dict(an.THETA))
         for key, c in br.items():
-            for (_, c2, k2, l2, tok) in _oracle_template(*key, k - 1, lmask):
+            for c2, k2, l2, tok in _oracle_template(*key, k - 1, lmask)[0]:
                 acc(out, (k2, l2, tok), c * c2)
-        for (_, c2, k2, l2, tok) in _oracle_template(m, imask, k - 1, lmask):
+        for c2, k2, l2, tok in _oracle_template(m, imask, k - 1, lmask)[0]:
             acc(out, (k2 + 1, l2, tok), c2)
     elif lmask:
         j = indices_of(lmask)[0]
@@ -349,10 +355,10 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
         # a.(eta_j u) = [a, xi_j].u + (-1)^{p(a)} eta_j.(a.u)
         br = an.bracket({(m, imask): ONE}, {(0, 1 << (j - 1)): ONE})
         for key, c in br.items():
-            for (_, c2, k2, l2, tok) in _oracle_template(*key, 0, rest):
+            for c2, k2, l2, tok in _oracle_template(*key, 0, rest)[0]:
                 acc(out, (k2, l2, tok), c * c2)
         sgn = (-1) ** (size(imask) & 1)
-        for (_, c2, k2, l2, tok) in _oracle_template(m, imask, 0, rest):
+        for c2, k2, l2, tok in _oracle_template(m, imask, 0, rest)[0]:
             s, k3, l3 = _eta_shape(j, k2, l2)
             acc(out, (k3, l3, tok), c2 * s * sgn)
     else:
@@ -365,40 +371,34 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
             else:
                 acc(out, (0, imask, None), ONE)   # eta_i (x) w
         # positive degree annihilates the vacuum vector
-    return tuple((0, c, k2, l2, tok) for (k2, l2, tok), c in out.items())
+    return (tuple((c, k2, l2, tok) for (k2, l2, tok), c in out.items()),)
 
 
 def act_oracle(key, v: VVec, wt: Weight) -> VVec:
     """Module action of a basis key (t-power, mask), the central key too."""
-    return _lambda_expand(lambda k, l: _oracle_template(*key, k, l),
-                          v, wt).get(0, {})
-
-
-@lru_cache(maxsize=None)
-def _power_slices(imask: int, k: int, lmask: int) -> tuple:
-    """_primal_template split by lambda power j, up to k + 3, the highest."""
-    terms = _primal_template(imask, k, lmask)
-    return tuple(tuple(t for t in terms if t[0] == j) for j in range(k + 4))
-
-
-@lru_cache(maxsize=None)
-def _factorial(j: int) -> ExactScalar:
-    return scal(factorial(j))
+    out: VVec = {}
+    for (k, l, mon), c in v.items():
+        _eval_template(_oracle_template(*key, k, l)[0], mon, c, wt, out)
+    return out
 
 
 def act(key, v: VVec, wt: Weight) -> VVec:
-    """Action of t^j xi_I (or C) through the closed-form lambda expansion;
-    only the template terms of lambda power j are evaluated."""
+    """Action of t^j xi_I: j! times slice j of its closed-form template on
+    v.  The central C scales each monomial by its g0 image."""
     if key == an.CKEY:
-        # C is central: its template is the one C-token term
-        return _lambda_expand(lambda k, l: ((0, ONE, k, l, an.CKEY),),
-                              v, wt).get(0, {})
+        return {(k, l, m): c * x for (k, l, mon), c in v.items() if c
+                for m, x in act_g0(an.CKEY, wt, mon)}
     j, imask = key
-    coeff = _lambda_expand(
-        lambda k, l: _power_slices(imask, k, l)[j] if j <= k + 3 else (),
-        v, wt).get(j, {})
-    f = _factorial(j)
-    return coeff if j < 2 else {vk: c * f for vk, c in coeff.items()}
+    if j < 0 or not 0 <= imask <= MASK_ALL:
+        raise ValueError(f"{key} is not a basis key")
+    out: VVec = {}
+    for (k, l, mon), c in v.items():
+        if j < k + 4:       # the template of Theta^k reaches lambda^(k + 3)
+            _eval_template(_primal_template(imask, k, l)[j], mon, c, wt, out)
+    if j < 2 or not out:
+        return out
+    f = scal(factorial(j))
+    return {vk: c * f for vk, c in out.items()}
 
 
 def act_elem(g: an.Element, v: VVec, wt: Weight) -> VVec:

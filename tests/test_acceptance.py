@@ -261,8 +261,9 @@ def test_criteria_04_and_05_fail_on_a_flipped_primal_term(
     base = verma._primal_base
 
     def flipped(imask, l):
-        return tuple((p, -c if (imask, l, p, t) == (0, lmask, lp, tok) else c,
-                      k, l2, t) for p, c, k, l2, t in base(imask, l))
+        return tuple(tuple((-c if (imask, l, p, t) == (0, lmask, lp, tok)
+                            else c, k, l2, t) for c, k, l2, t in terms)
+                     for p, terms in enumerate(base(imask, l)))
 
     monkeypatch.setattr(verma, "_primal_base", flipped)
     assert named in _fails(criterion)

@@ -252,8 +252,8 @@ def test_hw_basis_is_mu_free_and_sized_per_shape():
             for l in ALL_MASKS:
                 if 2 * k + size(l) > 5:
                     continue
-                for lp, _, _, _, tok in _primal_template(pm, k, l):
-                    assert lp or tok not in ((1, 0), CKEY), (pm, k, l)
+                for _, _, _, tok in _primal_template(pm, k, l)[0]:
+                    assert tok not in ((1, 0), CKEY), (pm, k, l)
     for m, n in [(2, 2), (3, 3), (4, 4), (5, 2)]:
         assert [len(sv._hw_basis(m, n, d)) for d in range(1, 6)] == \
             [4, 7, 8, 8, 8], (m, n)
@@ -429,7 +429,8 @@ def test_fresh_solver_caches_finds_the_solver_caches(fresh_solver_caches):
     assert names >= {
         ("solver", "_hw_basis"), ("solver", "_dual_mu"),
         ("solver", "_dual_record"), ("verma", "_primal_template"),
-        ("verma", "_power_slices"), ("weights", "_xi_image"),
+        ("verma", "_dual_template"), ("verma", "_oracle_template"),
+        ("weights", "_xi_image"),
         ("coadjoint", "_pairing"), ("coadjoint", "_phi_key"),
         ("annihilation", "_key_bracket_plain")}
     assert all(f.cache_info().currsize == 0 for f in fresh_solver_caches)

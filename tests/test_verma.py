@@ -1,10 +1,13 @@
+import re
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from k4verma import annihilation as an
 from k4verma import verma as vm
-from k4verma.exact import ONE, ExactScalar, axpy, scal
-from k4verma.grassmann import MASK_ALL, mask_of, size
+from k4verma.exact import ONE, ExactScalar, acc, axpy, scal
+from k4verma.grassmann import EPS, MASK_ALL, mask_of, size
 from k4verma.weights import weight
 
 WT = weight(1, 1, scal("5/2"), scal(-3, "1/2"))
@@ -111,17 +114,41 @@ def test_lambda_degree_four_with_theta():
     assert vm.act((4, 0), V(1, (1, 2, 3, 4)), WT) == {(0, 0, MON): scal(-24) * WT.mu_C}
 
 
+def _oracle_mismatches(wt):
+    """Each (j, imask, k, lmask), j < 4 and k <= 2, where act and act_oracle
+    disagree on some unit vector Theta^k eta_L (x) mon."""
+    return [(j, imask, k, l) for j in range(4) for imask in range(16)
+            for k in range(3) for l in range(16)
+            if any(vm.act((j, imask), V(k, l, mon), wt)
+                   != vm.act_oracle((j, imask), V(k, l, mon), wt)
+                   for mon in wt.keys())]
+
+
 def test_oracle_equivalence_full_small_weight():
     # the central cross-check: closed form vs recursive commutation
-    for j in range(4):
-        for imask in range(16):
-            for k in range(3):
-                for l in range(16):
-                    for mon in WT.keys():
-                        v = V(k, l, mon)
-                        assert (vm.act((j, imask), v, WT)
-                                == vm.act_oracle((j, imask), v, WT)), \
-                            ((j, imask), (k, l, mon))
+    assert _oracle_mismatches(WT) == []
+
+
+def test_act_disagrees_with_the_oracle_without_the_lambda_shift(
+        fresh_solver_caches, monkeypatch):
+    # negative control: a Theta step that keeps slice j of V_{k-1} at lambda
+    # power j, where V_k = (Theta + lambda) V_{k-1} moves it to j + 1; the
+    # templates of Theta power 0 do not take the step, those above do
+    def unshifted(prev, imask, kprev, lmask):
+        out = [{} for _ in range(len(prev) + 1)]
+        for j, terms in enumerate(prev):
+            for c, k2, l2, tok in terms:
+                acc(out[j], (k2 + 1, l2, tok), c)
+                acc(out[j], (k2, l2, tok), c)
+        if size(imask) == 4:
+            acc(out[0], (kprev, lmask, an.CKEY), scal(-EPS[imask]))
+        return tuple(tuple((c, k2, l2, tok) for (k2, l2, tok), c in s.items())
+                     for s in out)
+
+    monkeypatch.setattr(vm, "_theta_step", unshifted)
+    bad = _oracle_mismatches(WT)
+    assert bad[0] == (0, 0, 1, 0) and (1, 0, 1, 0) in bad
+    assert len(bad) == 1608 and {k for _, _, k, _ in bad} == {1, 2}
 
 
 def test_dual_action_is_T_conjugate():
@@ -156,33 +183,36 @@ def test_module_axiom_sampled():
 
 
 def test_template_tokens_are_degree_zero_keys():
-    # every term is (lambda power, coeff, Theta power, eta mask, token), and
-    # a token is None or a degree-zero key that the g0 action takes
+    # a template is a tuple of slices, slice j holding the lambda^j terms
+    # (coeff, Theta power, eta mask, token); the closed forms reach lambda
+    # power k + 3, the oracle only power 0; a token is None or a degree-zero
+    # key that the g0 action takes
     from k4verma.weights import act_g0
     for imask in range(16):
         for lmask in range(16):
             for k in range(3):
-                terms = [*vm._primal_template(imask, k, lmask),
-                         *vm._dual_template(imask, k, lmask)]
+                slices = [*vm._primal_template(imask, k, lmask),
+                          *vm._dual_template(imask, k, lmask)]
+                assert len(slices) == 2 * (k + 4)
                 for tpow in range(3):
                     oracle = vm._oracle_template(tpow, imask, k, lmask)
-                    assert all(len(t) == 5 and t[0] == 0 for t in oracle)
-                    terms += oracle
-                for term in terms:
-                    assert len(term) == 5
-                    tok = term[4]
+                    assert len(oracle) == 1
+                    slices += oracle
+                for term in (t for s in slices for t in s):
+                    assert len(term) == 4
+                    tok = term[3]
                     if tok is not None:
                         assert an.grade_key(tok) == 0
                         act_g0(tok, WT, (WT.m, WT.n))
 
 
 def test_C_template_is_one_term_and_acts_through_g0():
-    # C is central: the oracle recursion leaves it one C-token term, and
-    # both actions evaluate that term through act_g0
+    # C is central: the oracle recursion leaves it one C-token term, which
+    # act_oracle evaluates through act_g0; act scales by act_g0's C image
     for k in range(3):
         for l in range(16):
             assert vm._oracle_template(*an.CKEY, k, l) == \
-                ((0, ONE, k, l, an.CKEY),)
+                (((ONE, k, l, an.CKEY),),)
             v = V(k, l)
             expect = {(k, l, MON): WT.mu_C}
             assert vm.act(an.CKEY, v, WT) == expect
@@ -249,3 +279,14 @@ def test_act_is_j_factorial_times_the_lambda_power_j_coefficient():
                                            in lam.get(j, {}).items()}, \
                                 (j, imask, v, wt)
                             assert not any(c.is_zero() for c in got.values())
+
+
+@pytest.mark.parametrize("key", [(0, 16), (0, -1), (-1, 3), (-2, 0)])
+def test_keys_outside_the_basis_are_rejected(key):
+    # a t-power below 0 other than C = (-1, 0), or a mask outside 0..15, is
+    # no basis key: both the closed form and the oracle raise and name it
+    wt = weight(1, 0, Fraction(1, 3), 2)
+    v = {(0, mask_of((1, 2)), (1, 0)): ONE}
+    for action in (vm.act, vm.act_oracle):
+        with pytest.raises(ValueError, match=re.escape(f"{key} is not")):
+            action(key, v, wt)
