@@ -37,8 +37,13 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+# the increasing index word of each mask
+_WORDS = tuple(tuple(i for i in INDICES if m & (1 << (i - 1)))
+               for m in range(16))
+
+
 def indices_of(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in INDICES if mask & (1 << (i - 1)))
+    return _WORDS[mask]
 
 
 def size(mask: int) -> int:
@@ -75,8 +80,8 @@ def derive_seq(word: Sequence[int], mask: int) -> tuple[int, int]:
     """Composite derivative, rightmost index applied first."""
     sign = 1
     for i in reversed(word):
-        s, mask = derive(i, mask)
-        if s == 0:
+        s, mask = DERIVE[i][mask]
+        if not s:
             return 0, 0
         sign *= s
     return sign, mask
@@ -107,5 +112,9 @@ EPS = tuple(eps(m) for m in range(16))
 HODGE = tuple(hodge(m) for m in range(16))
 STAR = tuple(tuple(star(a, b) for b in range(16)) for a in range(16))
 DERIVE = ((),) + tuple(tuple(derive(i, m) for m in range(16)) for i in (1, 2, 3, 4))
+# PARTIAL[a][m]: partial_{i1...ik}, over the increasing word of mask a,
+# applied to the monomial with mask m
+PARTIAL = tuple(tuple(derive_seq(indices_of(a), m) for m in range(16))
+                for a in range(16))
 
 ALL_MASKS = tuple(range(16))

@@ -64,12 +64,18 @@ _SHORTCUT = (
 )
 
 
+# the masks whose lambda actions e1 and e2 read, four of the six pairs
+_E_MASKS = frozenset(imask for _, g in _E_ROWS for _, imask in g)
+
+
 def _conditions(lam: dict[int, LambdaVal]) -> dict:
-    """Condition images of one vector, from its lambda actions lam[imask]:
-    each (imask, lp) with t^lp xi_I of positive degree, then "e1" and "e2"."""
+    """Condition images of one vector, from its lambda actions lam[imask]
+    at all masks or some: each (imask, lp) with t^lp xi_I of positive
+    degree, then "e1" and "e2" when lam holds the masks that they read."""
     out: dict = {(imask, lp): vec for imask, by_power in lam.items()
                  for lp, vec in by_power.items() if grade_key((lp, imask)) > 0}
-    out.update(_images(_E_ROWS, lam))
+    if not _E_MASKS.isdisjoint(lam):
+        out.update(_images(_E_ROWS, lam))
     return out
 
 
@@ -118,27 +124,50 @@ def _table_rows(table, wt: Weight, cols: Sequence[VVec]) -> list[dict]:
                       for col in cols).values())
 
 
-def _direct_rows(wt: Weight, cols: Sequence[VVec]) -> dict:
-    """The full dual system on the column vectors, evaluated directly at
-    wt: every condition image of T of each column through the dual-form
-    action."""
+def _direct_rows(wt: Weight, cols: Sequence[VVec],
+                 masks: Sequence[int] = ALL_MASKS) -> dict:
+    """The dual system on the column vectors, evaluated directly at wt:
+    every condition image of T of each column through the dual-form
+    action of the generators with these masks, by default all of them,
+    which is the full system."""
     return _rows(_conditions({imask: dual_lambda_action(imask, tcol, wt)
-                              for imask in ALL_MASKS})
+                              for imask in masks})
                  for tcol in map(transform_T, cols))
+
+
+# Lambda^r(eta), r = 0..4, as sl2 x sl2 modules: the highest weights (a, b)
+# of its irreducible components
+_LAMBDA_ETA = (((0, 0),), ((1, 1),), ((2, 0), (0, 2)), ((1, 1),), ((0, 0),))
+
+
+def _hw_count(m: int, n: int, d: int) -> int:
+    """The number of hw vectors at degree d over F(m, n): M_d is the sum of
+    Theta^k Lambda^r(eta) (x) F over 2k + r = d, and by Clebsch-Gordan
+    (a, b) (x) (m, n) holds (min(a, m) + 1)(min(b, n) + 1) of them."""
+    return sum((min(a, m) + 1) * (min(b, n) + 1)
+               for k in range(d // 2 + 1) if d - 2 * k < len(_LAMBDA_ETA)
+               for a, b in _LAMBDA_ETA[d - 2 * k])
 
 
 @lru_cache(maxsize=None)
 def _hw_basis(m: int, n: int, d: int) -> tuple[VVec, ...]:
     """A basis of the e1/e2 kernel on candidate_keys at degree d over
-    F(m, n).  The lambda^0 terms of the pair-mask templates carry no t or
-    C token, so one basis, computed at mu = 0, serves every mu."""
+    F(m, n), checked against the Clebsch-Gordan count.  The lambda^0 terms
+    of the pair-mask templates carry no t or C token, so one basis,
+    computed at mu = 0, serves every mu."""
     wt = weight(m, n, 0, 0)
     cols = candidate_keys(wt, d)
     red = RowReducer(len(cols))
     for row in _table_rows(_E_ROWS, wt, [{vk: ONE} for vk in cols]):
         red.add_row(row)
-    return tuple({cols[i]: c for i, c in vec.items()}
-                 for vec in red.nullspace())
+    basis = tuple({cols[i]: c for i, c in vec.items()}
+                  for vec in red.nullspace())
+    count = _hw_count(m, n, d)
+    if len(basis) != count:
+        raise RuntimeError(f"{len(basis)} hw vectors at shape (m, n, d) = "
+                           f"({m}, {n}, {d}), where Clebsch-Gordan counts "
+                           f"{count}")
+    return basis
 
 
 _MU_UNITS = ((0, 0), (1, 0), (0, 1))
@@ -167,20 +196,42 @@ class _DualRecord:
     rows: tuple[tuple[dict, dict, dict], ...]
 
 
+def _reached(cols: Sequence[VKey]) -> set:
+    """The row keys that mu reaches on these plain columns."""
+    return {(cond, (k2, l2, mon)) for k, l, mon in cols
+            for cond, (k2, l2, _) in _dual_mu(k, l)}
+
+
+# the generator groups by which _k0 evaluates the rows: the six pair
+# masks, with e1 and e2, which read them, then each other mask alone by |I|
+_K0_GROUPS = (tuple(m for m in ALL_MASKS if size(m) == 2),) + tuple(
+    (m,) for m in sorted(ALL_MASKS, key=size) if size(m) != 2)
+
+
+def _k0(wt: Weight, cols: list[VKey]) -> tuple[VVec, ...]:
+    """The kernel of the rows that no mu reaches on the plain columns.  The
+    rows of each generator group are evaluated only once the groups before
+    it leave the rank short of full; at full rank the kernel is 0, so no
+    later row can change it."""
+    unit = [{vk: ONE} for vk in cols]
+    reached = _reached(cols)
+    red = RowReducer(len(cols))
+    rows = (row for masks in _K0_GROUPS
+            for key, row in _direct_rows(wt, unit, masks).items()
+            if key not in reached)
+    for row in rows:
+        red.add_row(row)
+        if len(red.pivots) == len(cols):
+            break
+    return tuple({cols[i]: c for i, c in vec.items()}
+                 for vec in red.nullspace())
+
+
 @lru_cache(maxsize=None)
 def _dual_record(m: int, n: int, d: int) -> _DualRecord:
     """The dual route's record of the shape (m, n, d)."""
     wt = weight(m, n, 0, 0)
-    cols = candidate_keys(wt, d)
-    reached = {(cond, (k2, l2, mon)) for k, l, mon in cols
-               for cond, (k2, l2, _) in _dual_mu(k, l)}
-    red = RowReducer(len(cols))
-    for key, row in _direct_rows(wt, [{vk: ONE} for vk in cols]).items():
-        if key not in reached:
-            red.add_row(row)
-            if len(red.pivots) == len(cols):
-                break
-    k0 = tuple({cols[i]: c for i, c in vec.items()} for vec in red.nullspace())
+    k0 = _k0(wt, candidate_keys(wt, d))
     # the images of K0 at mu = 0, (1, 0) and (0, 1) are A0, A0 + At and
     # A0 + AC
     base, *moved = [_direct_rows(weight(m, n, *mu), k0) for mu in _MU_UNITS]

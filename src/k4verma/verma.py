@@ -38,8 +38,8 @@ from math import factorial
 
 from . import annihilation as an
 from .exact import ExactScalar, ONE, acc, axpy, scal
-from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, STAR, complement,
-                        derive_seq, indices_of, normalize, size)
+from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, PARTIAL, STAR,
+                        complement, derive_seq, indices_of, size)
 from .weights import MonKey, Weight, act_g0, pair_mask
 
 VKey = tuple[int, int, MonKey]      # (Theta power, eta mask, F monomial)
@@ -108,14 +108,22 @@ def w_mul(label: str, v: VVec) -> VVec:
 
 # -- the closed-form lambda action --------------------------------------------
 
+def _check_masks(imask: int, lmask: int) -> None:
+    """Only a cold template build runs this, so warm calls pay nothing."""
+    for name, mask in (("generator", imask), ("eta", lmask)):
+        if not 0 <= mask <= MASK_ALL:
+            raise ValueError(f"{name} mask {mask} is outside 0..{MASK_ALL}")
+
+
 def _primal_base(imask: int, lmask: int) -> tuple:
     """Slices of xi_I lambda (eta_L (x) v), Theta power zero.  C enters at
     lambda^p, p = 3 - |I| >= 0, as (-1)^(p(p-1)/2) eps_I d_{I^c} eta_L (x) Cv."""
+    _check_masks(imask, lmask)
     terms: tuple = ([], [], [], [])
     ilen = size(imask)
     isign = (-1) ** ilen
     iidx = indices_of(imask)
-    s0, l0 = derive_seq(iidx, lmask)    # the Theta and the t term read it
+    s0, l0 = PARTIAL[imask][lmask]      # the Theta and the t term read it
 
     # lambda^0
     if s0 and (ilen - 2):
@@ -124,15 +132,15 @@ def _primal_base(imask: int, lmask: int) -> tuple:
         s1, i2 = DERIVE[i][imask]
         ss, sl = STAR[1 << (i - 1)][lmask]
         if s1 and ss:
-            s2, l2 = derive_seq(indices_of(i2), sl)
+            s2, l2 = PARTIAL[i2][sl]
             if s2:
                 terms[0].append((scal(s1 * ss * s2), 0, l2, None))
     for i in iidx:
         for j in iidx:
             if i < j:
-                s1, i2 = derive_seq((i, j), imask)
+                s1, i2 = PARTIAL[(1 << (i - 1)) | (1 << (j - 1))][imask]
                 if s1:
-                    s2, l2 = derive_seq(indices_of(i2), lmask)
+                    s2, l2 = PARTIAL[i2][lmask]
                     if s2:
                         ps, pm = pair_mask(j, i)
                         if ps:
@@ -157,7 +165,7 @@ def _primal_base(imask: int, lmask: int) -> tuple:
             s2, l1 = DERIVE[j][lmask]
             if not s2:
                 continue
-            s3, l2 = derive_seq(indices_of(i2), l1)
+            s3, l2 = PARTIAL[i2][l1]
             if s3:
                 ps, pm = pair_mask(j, i)
                 if ps:
@@ -175,7 +183,7 @@ def _primal_base(imask: int, lmask: int) -> tuple:
     # C, at lambda^(3 - |I|)
     p = 3 - ilen
     if p >= 0:
-        s, l2 = derive_seq(indices_of(complement(imask)), lmask)
+        s, l2 = PARTIAL[complement(imask)][lmask]
         if s:
             terms[p].append((scal((-1) ** (p * (p - 1) // 2) * EPS[imask] * s),
                              0, l2, an.CKEY))
@@ -183,16 +191,20 @@ def _primal_base(imask: int, lmask: int) -> tuple:
 
 
 def _theta_step(prev: tuple, imask: int, kprev: int, lmask: int) -> tuple:
-    """V_k = (Theta + lambda) V_{k-1} - chi_{|I|=4} eps_I Theta^{k-1} eta_L Cv."""
-    out: list = [{} for _ in range(len(prev) + 1)]
+    """V_k = (Theta + lambda) V_{k-1} - chi_{|I|=4} eps_I Theta^{k-1} eta_L Cv,
+    summed in one dict keyed (j, Theta power, eta mask, token) and split
+    into slices once."""
+    out: dict = {}
     for j, terms in enumerate(prev):
         for c, k2, l2, tok in terms:
-            acc(out[j], (k2 + 1, l2, tok), c)
-            acc(out[j + 1], (k2, l2, tok), c)
+            acc(out, (j, k2 + 1, l2, tok), c)
+            acc(out, (j + 1, k2, l2, tok), c)
     if size(imask) == 4:
-        acc(out[0], (kprev, lmask, an.CKEY), scal(-EPS[imask]))
-    return tuple(tuple((c, k2, l2, tok) for (k2, l2, tok), c in s.items())
-                 for s in out)
+        acc(out, (0, kprev, lmask, an.CKEY), scal(-EPS[imask]))
+    slices: tuple = tuple([] for _ in range(len(prev) + 1))
+    for (j, k2, l2, tok), c in out.items():
+        slices[j].append((c, k2, l2, tok))
+    return tuple(map(tuple, slices))
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +217,7 @@ def _primal_template(imask: int, k: int, lmask: int) -> tuple:
 def _dual_base(imask: int, lmask: int) -> tuple:
     """The Hodge-transported action on eta_L.  C enters at lambda^(3 - |I|)
     as in _primal_base, read through STAR[I^c][L] and times pref."""
+    _check_masks(imask, lmask)
     terms: tuple = ([], [], [], [])
     ilen = size(imask)
     iidx = indices_of(imask)
@@ -225,7 +238,7 @@ def _dual_base(imask: int, lmask: int) -> tuple:
     for r in iidx:
         for s_ in iidx:
             if r < s_:
-                s1, i2 = derive_seq((r, s_), imask)
+                s1, i2 = PARTIAL[(1 << (r - 1)) | (1 << (s_ - 1))][imask]
                 if s1:
                     s2, m = STAR[i2][lmask]
                     if s2:
@@ -238,7 +251,7 @@ def _dual_base(imask: int, lmask: int) -> tuple:
     if s0:
         terms[1].append((scal(pref * s0), 0, m0, (1, 0)))
     for i in (1, 2, 3, 4):
-        s1, ii = normalize(iidx + (i,))
+        s1, ii = STAR[imask][1 << (i - 1)]
         if not s1:
             continue
         s2, m1 = STAR[ii][lmask]
@@ -248,7 +261,7 @@ def _dual_base(imask: int, lmask: int) -> tuple:
                 terms[1].append((scal(-pref * (-1) ** ilen * s1 * s2 * s3),
                                  0, m, None))
     for j in (1, 2, 3, 4):
-        s1, ij = normalize(iidx + (j,))
+        s1, ij = STAR[imask][1 << (j - 1)]
         if not s1:
             continue
         for i in (1, 2, 3, 4):
@@ -267,7 +280,7 @@ def _dual_base(imask: int, lmask: int) -> tuple:
     # lambda^2
     for i in (1, 2, 3, 4):
         for j in range(i + 1, 5):
-            s1, iij = normalize(iidx + (i, j))
+            s1, iij = STAR[imask][(1 << (i - 1)) | (1 << (j - 1))]
             if not s1:
                 continue
             s2, m = STAR[iij][lmask]

@@ -1,7 +1,7 @@
 """Checks the bitmask Grassmann tables against a from-scratch oracle that
 multiplies index words by explicit insertion sort."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, strategies as st
 
@@ -157,3 +157,20 @@ def test_normalize_agrees_with_sort_oracle(word):
     assert sign == osign
     if sign:
         assert gr.indices_of(mask) == oword
+
+
+def test_tables_agree_with_their_defining_loops():
+    # indices_of and derive_seq read tables built at import; the loops
+    # they replace are their definitions, over every mask and every word
+    # of length <= 4
+    for mask in gr.ALL_MASKS:
+        assert gr.indices_of(mask) == \
+            tuple(i for i in (1, 2, 3, 4) if mask & (1 << (i - 1)))
+    words = [w for n in range(5) for w in product((1, 2, 3, 4), repeat=n)]
+    for word in words:
+        for mask in gr.ALL_MASKS:
+            sign, m = 1, mask
+            for i in reversed(word):
+                s, m = gr.derive(i, m)
+                sign *= s
+            assert gr.derive_seq(word, mask) == ((sign, m) if sign else (0, 0))

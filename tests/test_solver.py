@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from k4verma import solver as sv
 from k4verma.annihilation import CKEY
-from k4verma.exact import I, ONE, scal
+from k4verma.exact import I, ONE, RowReducer, scal
 from k4verma.grassmann import ALL_MASKS, MASK_ALL, mask_of, size
 from k4verma.verma import _primal_template, act, degree, theta_mul
 from k4verma.weights import weight
@@ -155,8 +156,7 @@ def _referee(wt, d, mu_free=False):
     assert sv.solve(wt, d, dual=True).kernel == kern, shape
     assert sv.solve(wt, d).kernel == kern, shape
     if mu_free:
-        reached = {(cond, (k2, l2, mon)) for k, l, mon in cols
-                   for cond, (k2, l2, _) in sv._dual_mu(k, l)}
+        reached = sv._reached(cols)
         at_zero = sv._direct_rows(weight(wt.m, wt.n, 0, 0), unit)
         assert {key: row for key, row in direct.items()
                 if key not in reached} == \
@@ -181,6 +181,55 @@ def test_hw_route_matches_the_unreduced_dual_route():
     dims = [len(sv._dual_record(m, n, d).k0)
             for m in range(4) for n in range(4) for d in range(1, 6)]
     assert (sum(dims), max(dims)) == (63, 4)
+
+
+def _k0_mismatches():
+    """The shapes m, n <= 3 at degrees 1-5 where the span of the record's
+    K0 is not the kernel of every row that no mu reaches, all evaluated
+    directly."""
+    bad = []
+    for m in range(4):
+        for n in range(4):
+            wt = weight(m, n, 0, 0)
+            for d in range(1, 6):
+                cols = sv.candidate_keys(wt, d)
+                unit = [{vk: ONE} for vk in cols]
+                reached = sv._reached(cols)
+                rows = [row for key, row in sv._direct_rows(wt, unit).items()
+                        if key not in reached]
+                if sv._canonical(sv._dual_record(m, n, d).k0, cols) != \
+                        sv._canonical(sv._kernel(rows, unit), cols):
+                    bad.append((m, n, d))
+    return bad
+
+
+def test_k0_by_generator_group_spans_the_unreached_kernel():
+    # referee of the group-by-group K0: its span is the kernel of all the
+    # rows no mu reaches, though its basis may differ
+    assert _k0_mismatches() == []
+
+
+def test_k0_referee_fails_on_a_stop_at_a_group_of_no_rank(
+        fresh_solver_caches, monkeypatch):
+    # negative control: a build that stops as soon as a generator group
+    # adds no rank, not only at full rank, keeps K0 too large
+    def early_stop(wt, cols):
+        unit = [{vk: ONE} for vk in cols]
+        reached = sv._reached(cols)
+        red = RowReducer(len(cols))
+        for masks in sv._K0_GROUPS:
+            rank = len(red.pivots)
+            for key, row in sv._direct_rows(wt, unit, masks).items():
+                if key not in reached:
+                    red.add_row(row)
+            if len(red.pivots) in (rank, len(cols)):
+                break
+        return tuple({cols[i]: c for i, c in vec.items()}
+                     for vec in red.nullspace())
+
+    monkeypatch.setattr(sv, "_k0", early_stop)
+    bad = _k0_mismatches()
+    assert bad[:3] == [(0, 0, 2), (0, 0, 3), (0, 0, 4)] and len(bad) == 64
 
 
 def _multiset(rows):
@@ -257,6 +306,28 @@ def test_hw_basis_is_mu_free_and_sized_per_shape():
     for m, n in [(2, 2), (3, 3), (4, 4), (5, 2)]:
         assert [len(sv._hw_basis(m, n, d)) for d in range(1, 6)] == \
             [4, 7, 8, 8, 8], (m, n)
+
+
+def test_hw_basis_meets_the_clebsch_gordan_count(fresh_solver_caches):
+    # with every cache empty, each build runs its Clebsch-Gordan check
+    for m in range(4):
+        for n in range(4):
+            for d in range(1, 6):
+                assert len(sv._hw_basis(m, n, d)) == sv._hw_count(m, n, d)
+    assert [sv._hw_count(0, 0, d) for d in range(1, 6)] == [1, 3, 2, 4, 2]
+
+
+def test_hw_referee_fails_without_a_clebsch_gordan_term(fresh_solver_caches,
+                                                        monkeypatch):
+    # negative control: Lambda^2(eta) loses its (0, 2) component, which
+    # only the degrees with an even r reach
+    eta = list(sv._LAMBDA_ETA)
+    eta[2] = ((2, 0),)
+    monkeypatch.setattr(sv, "_LAMBDA_ETA", tuple(eta))
+    assert len(sv._hw_basis(1, 1, 3)) == 8
+    with pytest.raises(RuntimeError,
+                       match=re.escape("shape (m, n, d) = (1, 1, 2)")):
+        sv._hw_basis(1, 1, 2)
 
 
 def test_shortcut_kernel_is_checked_against_every_condition(monkeypatch):

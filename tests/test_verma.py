@@ -290,3 +290,17 @@ def test_keys_outside_the_basis_are_rejected(key):
     for action in (vm.act, vm.act_oracle):
         with pytest.raises(ValueError, match=re.escape(f"{key} is not")):
             action(key, v, wt)
+
+
+@pytest.mark.parametrize("mask", [-1, 16, 17])
+def test_masks_outside_0_to_15_are_rejected(mask):
+    # the cold build of each closed form checks both masks and names the
+    # one outside 0..15, as a generator mask or as an eta mask
+    wt = weight(1, 0, 1, 2)
+    v = {(0, mask_of((1, 2)), (1, 0)): ONE}
+    bad_eta = {(0, mask, (1, 0)): ONE}
+    for action in (vm.lambda_action, vm.dual_lambda_action):
+        with pytest.raises(ValueError, match=f"generator mask {mask} is "):
+            action(mask, v, wt)
+        with pytest.raises(ValueError, match=f"eta mask {mask} is "):
+            action(3, bad_eta, wt)
