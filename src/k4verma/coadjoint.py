@@ -13,8 +13,8 @@ module with mu_t = 2 and trivial sl2 labels is irreducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import annihilation as an
 from .conformal import AxiomReport
@@ -109,8 +109,7 @@ def phi_image(v: VVec) -> DualElement:
     return out
 
 
-@dataclass(frozen=True)
-class IsoReport:
+class IsoReport(NamedTuple):
     max_degree: int
     dims: tuple[int, ...]
     bijective: tuple[bool, ...]

@@ -25,7 +25,6 @@ what makes the quotient-free story downstream work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -154,12 +153,14 @@ def jacobi_defect(a: Gen, b: Gen, c: Gen) -> BiPoly:
     return _exact(out)
 
 
-@dataclass
 class AxiomReport:
     """Counts and failures of one exhaustive sweep."""
-    pairs_checked: int = 0
-    triples_checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("pairs_checked", "triples_checked", "failures")
+
+    def __init__(self):
+        self.pairs_checked = 0
+        self.triples_checked = 0
+        self.failures = []
 
     @property
     def ok(self) -> bool:

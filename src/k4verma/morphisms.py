@@ -10,7 +10,7 @@ the duality mu -> (m, n, 2 - mu_t, -mu_C).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import annihilation as an
 from .conformal import AxiomReport
@@ -38,8 +38,7 @@ def source_weight(label: str, m: int, n: int) -> Weight:
     return weight(m + dx, n + dy, target.mu_t - fam.deg, target.mu_C)
 
 
-@dataclass(frozen=True)
-class VermaMorphism:
+class VermaMorphism(NamedTuple):
     source: Weight
     target: Weight
     image_of_hwv: VVec
@@ -105,8 +104,7 @@ def supertrace_ad(x: an.Element) -> ExactScalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: Weight
     target: Weight
     label: str
@@ -114,8 +112,7 @@ class Edge:
     params: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ComplexGraph:
+class ComplexGraph(NamedTuple):
     max_mn: int
     nodes: tuple[Weight, ...]
     edges: tuple[Edge, ...]

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .annihilation import grade_key
 from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
@@ -186,8 +186,7 @@ def _dual_mu(k: int, l: int) -> frozenset:
                      if rows.get(key) != base.get(key))
 
 
-@dataclass(frozen=True)
-class _DualRecord:
+class _DualRecord(NamedTuple):
     """The dual route at one shape (m, n, d).  k0 is the kernel of the rows
     that no mu reaches; those rows are the same at every mu, so every dual
     kernel of the shape lies in K0.  rows are the other rows on K0, split
@@ -208,13 +207,12 @@ _K0_GROUPS = (tuple(m for m in ALL_MASKS if size(m) == 2),) + tuple(
     (m,) for m in sorted(ALL_MASKS, key=size) if size(m) != 2)
 
 
-def _k0(wt: Weight, cols: list[VKey]) -> tuple[VVec, ...]:
-    """The kernel of the rows that no mu reaches on the plain columns.  The
-    rows of each generator group are evaluated only once the groups before
-    it leave the rank short of full; at full rank the kernel is 0, so no
-    later row can change it."""
+def _k0(wt: Weight, cols: list[VKey], reached: set) -> tuple[VVec, ...]:
+    """The kernel of the rows that no mu reaches (keys not in reached) on
+    the plain columns.  The rows of each generator group are evaluated only
+    once the groups before it leave the rank short of full; at full rank
+    the kernel is 0, so no later row can change it."""
     unit = [{vk: ONE} for vk in cols]
-    reached = _reached(cols)
     red = RowReducer(len(cols))
     rows = (row for masks in _K0_GROUPS
             for key, row in _direct_rows(wt, unit, masks).items()
@@ -229,14 +227,20 @@ def _k0(wt: Weight, cols: list[VKey]) -> tuple[VVec, ...]:
 
 @lru_cache(maxsize=None)
 def _dual_record(m: int, n: int, d: int) -> _DualRecord:
-    """The dual route's record of the shape (m, n, d)."""
+    """The dual route's record of the shape (m, n, d).  A row that no mu
+    reaches and that is nonzero on K0 shows a K0 too large: it raises."""
     wt = weight(m, n, 0, 0)
-    k0 = _k0(wt, candidate_keys(wt, d))
+    cols = candidate_keys(wt, d)
+    reached = _reached(cols)
+    k0 = _k0(wt, cols, reached)
     # the images of K0 at mu = 0, (1, 0) and (0, 1) are A0, A0 + At and
     # A0 + AC
     base, *moved = [_direct_rows(weight(m, n, *mu), k0) for mu in _MU_UNITS]
     rows = []
     for key in {**base, **moved[0], **moved[1]}:
+        if key not in reached and key in base:
+            raise RuntimeError(f"K0 of the shape (m, n, d) = ({m}, {n}, {d}) "
+                               f"fails the row {key} that no mu reaches")
         a0 = base.get(key, {})
         parts = [dict(at.get(key, {})) for at in moved]
         for part in parts:
@@ -286,8 +290,7 @@ def _kernel(rows, cols: Sequence[VVec]) -> list[VVec]:
     return out
 
 
-@dataclass(frozen=True)
-class SingularReport:
+class SingularReport(NamedTuple):
     weight: Weight
     deg: int
     kernel: tuple[VVec, ...]
@@ -327,8 +330,7 @@ _F = Fraction
 _ANY = float("inf")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One row of the classification: degree, the inclusive (m, n) box
     (lo_m, hi_m, lo_n, hi_n), the mu formula, and the vector's terms."""
     label: str
@@ -497,8 +499,7 @@ def _scalar_equal(a: VVec, b: VVec) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

@@ -23,10 +23,10 @@ each xi_ij; under t and C it is mu * monomial, the one place mu is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .annihilation import CKEY, Key
 from .exact import ExactScalar, I, ONE, ZERO, acc, axpy, inverse, scal
@@ -36,16 +36,11 @@ MonKey = tuple[int, int]            # (number of x1 factors, number of y1 factor
 Vector = dict[MonKey, ExactScalar]
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     m: int
     n: int
     mu_t: ExactScalar
     mu_C: ExactScalar
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("sl2 labels must be nonnegative integers")
 
     def keys(self) -> list[MonKey]:
         return [(a, b) for a in range(self.m + 1) for b in range(self.n + 1)]
@@ -55,6 +50,8 @@ class Weight:
 
 
 def weight(m: int, n: int, mu_t, mu_C) -> Weight:
+    if m < 0 or n < 0:
+        raise ValueError("sl2 labels must be nonnegative integers")
     return Weight(m, n, ExactScalar._coerce(mu_t), ExactScalar._coerce(mu_C))
 
 
@@ -112,7 +109,7 @@ for _j, _col in enumerate(XI_COLUMNS):
 @lru_cache(maxsize=None)
 def _xi_image(mask: int, m: int, n: int, mon: MonKey) -> tuple:
     """xi_{pair mask} on one monomial of F(m, n), frozen; mu plays no part."""
-    wt = Weight(m, n, ZERO, ZERO)
+    wt = weight(m, n, ZERO, ZERO)
     out: Vector = {}
     for c, op in XI_COMBO[mask]:
         axpy(out, c, apply_sl2(op, wt, {mon: ONE}).items())

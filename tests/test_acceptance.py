@@ -14,7 +14,6 @@ through `k4verma.cli.main` and assert each is ok and swept its known size.
 
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -352,8 +351,8 @@ def test_criteria_06_to_08_fail_on_a_wrong_report(monkeypatch, corrupt,
     # criterion must fail and name the failing entry or size
     if corrupt:
         fam = sv.FAMILIES["1b"]
-        monkeypatch.setitem(sv.FAMILIES, "1b", dataclasses.replace(
-            fam, mu=lambda m, n: (fam.mu(m, n)[0] + 1, fam.mu(m, n)[1])))
+        monkeypatch.setitem(sv.FAMILIES, "1b", fam._replace(
+            mu=lambda m, n: (fam.mu(m, n)[0] + 1, fam.mu(m, n)[1])))
     rep = _run_cli("verify-theorems", "--max-mn", "3", "--negatives",
                    negatives, "--seed", str(NEGATIVE_SEED))
     for criterion in (test_criterion_06_degree_one_classification,

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -152,7 +151,7 @@ def test_verify_theorems_catches_a_corrupted_family(
     # member must fail at its weight, naming the degree and the instance
     fam = sv.FAMILIES[label]
     monkeypatch.setitem(sv.FAMILIES, label,
-                        dataclasses.replace(fam, **{field: corrupt(fam)}))
+                        fam._replace(**{field: corrupt(fam)}))
     code, rep = run(capsys, "verify-theorems", "--max-mn", "1",
                     "--negatives", "0")
     assert code == 1
@@ -169,8 +168,8 @@ def test_off_list_entry_with_a_kernel_names_wrong_degrees(capsys,
     # true weight at (1, 0); an off-list entry there finds its kernel
     fam = sv.FAMILIES["1b"]
     true_weight = fam.weight_at(1, 0)
-    monkeypatch.setitem(sv.FAMILIES, "1b", dataclasses.replace(
-        fam, mu=lambda m, n: (fam.mu(m, n)[0] + 1, fam.mu(m, n)[1])))
+    monkeypatch.setitem(sv.FAMILIES, "1b", fam._replace(
+        mu=lambda m, n: (fam.mu(m, n)[0] + 1, fam.mu(m, n)[1])))
     monkeypatch.setattr(sv, "off_list_weights", lambda *a: [true_weight])
     code, rep = run(capsys, "verify-theorems", "--max-mn", "0",
                     "--negatives", "1")
@@ -191,7 +190,7 @@ def test_verify_theorems_catches_a_narrowed_box(capsys, monkeypatch, label,
     # negative control: a narrowed box drops members from the table sweep,
     # and the box-edge entries one step past the new bound find them
     fam = sv.FAMILIES[label]
-    monkeypatch.setitem(sv.FAMILIES, label, dataclasses.replace(fam, box=box))
+    monkeypatch.setitem(sv.FAMILIES, label, fam._replace(box=box))
     code, rep = run(capsys, "verify-theorems", "--max-mn", "1",
                     "--negatives", "0")
     assert code == 1
@@ -296,6 +295,7 @@ def test_negative_bounds_are_usage_errors(tmp_path):
             (["verify-theorems", "--max-mn", "0", "--negatives", "-1"], neg),
             (["complexes", "--max-mn", "-1"], neg),
             (["coadjoint", "--max-degree", "-1"], neg),
+            (["search", "--weight=-1,0,1,2", "--degree", "1"], "M, N >= 0"),
             (["coadjoint", "--max-degree", "0", *out], gone),
             (["complexes", "--max-mn", "0", *out], gone),
             (["axioms", "--max-tpow", "0", "--out", str(tmp_path)],

@@ -1,5 +1,6 @@
 """Every public name in `src/k4verma` has a caller in the engine, the CLI
-or the benchmark.
+or the benchmark, and no engine module imports the heavy modules in
+SLOW_IMPORTS.
 
 A public top-level `def` or `class`, or a public method, must be named as
 a code token somewhere in `src/k4verma` outside its own definition, or in
@@ -19,6 +20,11 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # the tests compare the engine against these; nothing in src/ calls them
 TEST_REFEREES = ("solver.theta_ansatz_kernel",)
+
+# every CLI run, benchmark worker and test run imports the engine afresh;
+# dataclasses pulls in inspect, ast, dis and tokenize, and each record it
+# builds execs generated code
+SLOW_IMPORTS = ("dataclasses", "inspect")
 
 
 def _name_tokens(path: Path) -> list[tuple[str, int]]:
@@ -51,3 +57,33 @@ def test_every_public_name_has_a_caller():
                        for name, line in toks):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert sorted(uncalled) == sorted(TEST_REFEREES)
+
+
+def _slow_imports(source: str) -> list[str]:
+    """The SLOW_IMPORTS modules that any import statement of the source
+    names, at top level or nested in a function or class."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [n for n in names if n.split(".")[0] in SLOW_IMPORTS]
+    return found
+
+
+def test_no_engine_module_imports_a_slow_module():
+    assert {p.stem: _slow_imports(p.read_text()) for p in SRC} == \
+        {p.stem: [] for p in SRC}
+
+
+def test_a_slow_import_is_flagged():
+    # negative control: top-level, nested and from-imports are all caught
+    source = ("from dataclasses import dataclass\n"
+              "def f():\n"
+              "    import inspect, json\n"
+              "class C:\n"
+              "    import dataclasses as dc\n")
+    assert _slow_imports(source) == ["dataclasses", "inspect", "dataclasses"]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -89,7 +88,7 @@ def test_duality_and_source_keep_the_imaginary_part_of_mu(monkeypatch):
     assert mo.duality_weight(dual) == wt
     fam = mo.FAMILIES["1b"]
     monkeypatch.setitem(mo.FAMILIES, "1b",
-                        dataclasses.replace(fam, mu=lambda m, n: gauss_mu))
+                        fam._replace(mu=lambda m, n: gauss_mu))
     assert mo.source_weight("1b", 2, 1) == \
         weight(1, 2, gauss_mu[0] - 1, gauss_mu[1])
     assert mo._wt_json(wt) == [1, 2, "7/3+1/2i", "-4/5+2i"]

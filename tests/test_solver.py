@@ -184,9 +184,9 @@ def test_hw_route_matches_the_unreduced_dual_route():
 
 
 def _k0_mismatches():
-    """The shapes m, n <= 3 at degrees 1-5 where the span of the record's
-    K0 is not the kernel of every row that no mu reaches, all evaluated
-    directly."""
+    """The shapes m, n <= 3 at degrees 1-5 where the span of the K0 that
+    _k0 builds is not the kernel of every row that no mu reaches, all
+    evaluated directly."""
     bad = []
     for m in range(4):
         for n in range(4):
@@ -197,7 +197,7 @@ def _k0_mismatches():
                 reached = sv._reached(cols)
                 rows = [row for key, row in sv._direct_rows(wt, unit).items()
                         if key not in reached]
-                if sv._canonical(sv._dual_record(m, n, d).k0, cols) != \
+                if sv._canonical(sv._k0(wt, cols, reached), cols) != \
                         sv._canonical(sv._kernel(rows, unit), cols):
                     bad.append((m, n, d))
     return bad
@@ -213,9 +213,8 @@ def test_k0_referee_fails_on_a_stop_at_a_group_of_no_rank(
         fresh_solver_caches, monkeypatch):
     # negative control: a build that stops as soon as a generator group
     # adds no rank, not only at full rank, keeps K0 too large
-    def early_stop(wt, cols):
+    def early_stop(wt, cols, reached):
         unit = [{vk: ONE} for vk in cols]
-        reached = sv._reached(cols)
         red = RowReducer(len(cols))
         for masks in sv._K0_GROUPS:
             rank = len(red.pivots)
@@ -230,6 +229,19 @@ def test_k0_referee_fails_on_a_stop_at_a_group_of_no_rank(
     monkeypatch.setattr(sv, "_k0", early_stop)
     bad = _k0_mismatches()
     assert bad[:3] == [(0, 0, 2), (0, 0, 3), (0, 0, 4)] and len(bad) == 64
+    # the record sees a K0 too large by itself: a row no mu reaches is
+    # nonzero on it, at exactly those shapes, so classify raises there
+    with pytest.raises(RuntimeError, match=re.escape("(0, 0, 2)")):
+        sv.classify(weight(0, 0, 0, 0))
+    raising = []
+    for shape in ((m, n, d) for m in range(4) for n in range(4)
+                  for d in range(1, 6)):
+        try:
+            sv._dual_record(*shape)
+        except RuntimeError as exc:
+            assert f"(m, n, d) = {shape}" in str(exc)
+            raising.append(shape)
+    assert raising == bad
 
 
 def _multiset(rows):

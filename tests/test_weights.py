@@ -51,6 +51,14 @@ def test_str_keeps_the_imaginary_part_of_mu():
     assert str(gauss) != str(real) and gauss != real
 
 
+def test_negative_sl2_labels_are_rejected():
+    # weight() is where every Weight in the engine is checked
+    for m, n in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError,
+                           match="^sl2 labels must be nonnegative integers$"):
+            wt.weight(m, n, 0, 0)
+
+
 def test_xi_pair_decompositions_frozen():
     ih = scal(0, "1/2")
     h = scal("1/2")
