@@ -89,13 +89,14 @@ def psi_default(a: Key, b: Key) -> ExactScalar:
 
 @lru_cache(maxsize=None)
 def _key_bracket_plain(m: int, im: int, n: int, jm: int) -> tuple:
-    """[t^m xi_I, t^n xi_J] without the central term, frozen."""
-    out: Element = {}
+    """[t^m xi_I, t^n xi_J] without the central term, frozen.  At most one
+    term survives: the first needs I and J disjoint, the i-th derivative
+    term needs I n J = {i}."""
+    out = []
     s, mm = STAR[im][jm]
-    if s:
-        c = 2 * n - 2 * m - n * size(im) + m * size(jm)
-        if c and m + n - 1 >= 0:
-            acc(out, (m + n - 1, mm), scal(c * s))
+    c = (2 * n - 2 * m - n * size(im) + m * size(jm)) * s
+    if c and m + n - 1 >= 0:
+        out.append(((m + n - 1, mm), scal(c)))
     sgn = (-1) ** size(im)
     for i in (1, 2, 3, 4):
         si, mi = DERIVE[i][im]
@@ -103,24 +104,35 @@ def _key_bracket_plain(m: int, im: int, n: int, jm: int) -> tuple:
         if si and sj:
             st, mk = STAR[mi][mj]
             if st:
-                acc(out, (m + n, mk), scal(sgn * si * sj * st))
-    return tuple(out.items())
+                out.append(((m + n, mk), scal(sgn * si * sj * st)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _key_bracket(m: int, im: int, n: int, jm: int) -> tuple:
+    """`_key_bracket_plain`'s items with psi_default's C term appended:
+    the default bracket of one key pair, frozen."""
+    items = _key_bracket_plain(m, im, n, jm)
+    pc = ZERO if m or n else _PSI0[im][jm]  # psi_default on the pair
+    return items + ((CKEY, pc),) if pc else items
 
 
 def bracket(a: Element, b: Element, psi=psi_default) -> Element:
-    """Bilinear bracket including the central term psi(.,.) C."""
+    """Bilinear bracket including the central term psi(.,.) C; under the
+    default psi, one memo lookup per key pair."""
     out: Element = {}
-    for ka, ca in a.items():
-        if ka == CKEY:
+    for (m, im), ca in a.items():
+        if m < 0:  # CKEY, which is central
             continue
-        for kb, cb in b.items():
-            if kb == CKEY:
+        for (n, jm), cb in b.items():
+            if n < 0:
                 continue
             cab = ca * cb
-            axpy(out, cab, _key_bracket_plain(*ka, *kb))
-            pc = psi(ka, kb)
-            if not pc.is_zero():
-                acc(out, CKEY, pc * cab)
+            if psi is psi_default:
+                axpy(out, cab, _key_bracket(m, im, n, jm))
+            else:  # a zero C term leaves out as it is
+                axpy(out, cab, _key_bracket_plain(m, im, n, jm))
+                acc(out, CKEY, psi((m, im), (n, jm)) * cab)
     return out
 
 

@@ -4,9 +4,10 @@ K_4 = C[pd] (x) Lambda(4) as a C[pd]-module; a basis element pd^k xi_I is
 the pair (k, mask).  Elements are sparse dicts {(k, mask): ExactScalar}.
 A lambda-bracket value is a polynomial in lambda with element coefficients,
 stored as {lambda_power: element}; `gen_bracket` freezes the bracket of two
-basis elements as (lambda_power, items) tuples of ints, which the axiom
-checks and the Lie route of `annihilation` contract in place with `iaxpy`;
-elements and defects hold ExactScalar.
+basis elements as (lambda_power, items) tuples of ints.  Each axiom check
+adds its defect up in one flat int table keyed by (lambda power[, mu
+power], gen), and the Lie route of `annihilation` contracts the items with
+`iaxpy`; elements and defects hold ExactScalar.
 
 The bracket of two generating fields is
 
@@ -40,18 +41,8 @@ def parity(mask: int) -> int:
     return size(mask) & 1
 
 
-def apply_pd(items, times: int = 1):
-    """pd^times applied to an element given as (gen, scalar) items."""
-    return (((k + times, m), c) for (k, m), c in items)
-
-
 def poly_is_zero(p: LambdaPoly) -> bool:
     return all(not e for e in p.values())
-
-
-def _exact(p: dict) -> dict:
-    """An int-valued polynomial as ExactScalar, empty powers dropped."""
-    return {n: {g: scal(c) for g, c in e.items()} for n, e in p.items() if e}
 
 
 def _base_bracket(imask: int, jmask: int) -> tuple:
@@ -81,7 +72,7 @@ def gen_bracket(ka: int, imask: int, kb: int, jmask: int) -> tuple:
         # (lambda + pd)^kb, then (-lambda)^ka
         for j in range(kb + 1):
             iaxpy(out.setdefault(n + j + ka, {}), comb(kb, j) * (-1) ** ka,
-                  apply_pd(items, kb - j))
+                  (((k + kb - j, m), c) for (k, m), c in items))
     return tuple((n, tuple(e.items())) for n, e in sorted(out.items()) if e)
 
 
@@ -96,36 +87,50 @@ def k4_basis(max_dpow: int) -> list[Gen]:
 
 # -- axiom checks -----------------------------------------------------------
 
+def _poly(flat: dict) -> dict:
+    """A flat int table's nonzero entries as a polynomial (empty if none)."""
+    out: dict = {}
+    if any(flat.values()):
+        for key, c in flat.items():
+            if c:
+                out.setdefault(key[0] if len(key) == 2 else key[:2],
+                               {})[key[-1]] = scal(c)
+    return out
+
+
 def sesquilinearity_defect(a: Gen, b: Gen) -> tuple[LambdaPoly, LambdaPoly]:
     """Both halves of axiom (iii) as defects (zero iff the axiom holds):
     [pd a lambda b] + lambda [a lambda b] and
     [a lambda pd b] - (lambda + pd) [a lambda b]."""
-    ka, im = a
-    kb, jm = b
-    d1, d2 = {}, {}
-    for n, items in gen_bracket(ka + 1, im, kb, jm):
-        iaxpy(d1.setdefault(n, {}), 1, items)
-    for n, items in gen_bracket(ka, im, kb + 1, jm):
-        iaxpy(d2.setdefault(n, {}), 1, items)
+    (ka, im), (kb, jm) = a, b
+    d1 = {(n, g): c for n, items in gen_bracket(ka + 1, im, kb, jm)
+          for g, c in items}
+    d2 = {(n, g): c for n, items in gen_bracket(ka, im, kb + 1, jm)
+          for g, c in items}
     for n, items in gen_bracket(ka, im, kb, jm):
-        iaxpy(d1.setdefault(n + 1, {}), 1, items)
-        iaxpy(d2.setdefault(n + 1, {}), -1, items)
-        iaxpy(d2.setdefault(n, {}), -1, apply_pd(items))
-    return _exact(d1), _exact(d2)
+        for g, c in items:
+            key = n + 1, g
+            d1[key] = d1.get(key, 0) + c
+            d2[key] = d2.get(key, 0) - c
+            key = n, (g[0] + 1, g[1])
+            d2[key] = d2.get(key, 0) - c
+    return _poly(d1), _poly(d2)
 
 
 def skew_defect(a: Gen, b: Gen) -> LambdaPoly:
     """[a lambda b] + (-1)^{p(a)p(b)} [b_{-lambda-pd} a], expanding each
     (-lambda - pd)^n binomially; zero iff skew holds."""
-    sgn = (-1) ** (parity(a[1]) * parity(b[1]))
-    out: dict[int, dict] = {}
-    for n, items in gen_bracket(*a, *b):
-        iaxpy(out.setdefault(n, {}), 1, items)
-    for n, items in gen_bracket(*b, *a):
+    (ka, im), (kb, jm) = a, b
+    sgn = -1 if parity(im) & parity(jm) else 1
+    out = {(n, g): c for n, items in gen_bracket(ka, im, kb, jm)
+           for g, c in items}
+    for n, items in gen_bracket(kb, jm, ka, im):
         for j in range(n + 1):
-            iaxpy(out.setdefault(j, {}), sgn * comb(n, j) * (-1) ** n,
-                  apply_pd(items, n - j))
-    return _exact(out)
+            s = sgn * comb(n, j) * (-1) ** n
+            for (k, m), c in items:
+                key = j, (k + n - j, m)
+                out[key] = out.get(key, 0) + s * c
+    return _poly(out)
 
 
 BiPoly = dict[tuple[int, int], Element]  # (lambda power, mu power) -> element
@@ -133,24 +138,32 @@ BiPoly = dict[tuple[int, int], Element]  # (lambda power, mu power) -> element
 
 def jacobi_defect(a: Gen, b: Gen, c: Gen) -> BiPoly:
     """[a l [b m c]] - [[a l b] l+m c] - (-1)^{p(a)p(b)} [b m [a l c]]."""
-    out: dict[tuple[int, int], dict] = {}
-    for mpow, items in gen_bracket(*b, *c):
+    (ka, ia), (kb, ib), (kc, ic) = a, b, c
+    out: dict = {}
+    for mpow, items in gen_bracket(kb, ib, kc, ic):
         for (kg, gm), cg in items:
-            for npow, inner in gen_bracket(*a, kg, gm):
-                iaxpy(out.setdefault((npow, mpow), {}), cg, inner)
-    for npow, items in gen_bracket(*a, *b):
+            for npow, inner in gen_bracket(ka, ia, kg, gm):
+                for g, v in inner:
+                    key = npow, mpow, g
+                    out[key] = out.get(key, 0) + cg * v
+    for npow, items in gen_bracket(ka, ia, kb, ib):
         for (kg, gm), cg in items:
-            for mpow, inner in gen_bracket(kg, gm, *c):
+            for mpow, inner in gen_bracket(kg, gm, kc, ic):
                 # substitute the bracket variable by lambda + mu
                 for i in range(mpow + 1):
-                    iaxpy(out.setdefault((npow + i, mpow - i), {}),
-                          -cg * comb(mpow, i), inner)
-    sgn = -((-1) ** (parity(a[1]) * parity(b[1])))
-    for npow, items in gen_bracket(*a, *c):
+                    s = cg * comb(mpow, i)
+                    for g, v in inner:
+                        key = npow + i, mpow - i, g
+                        out[key] = out.get(key, 0) - s * v
+    sgn = -1 if parity(ia) & parity(ib) else 1
+    for npow, items in gen_bracket(ka, ia, kc, ic):
         for (kg, gm), cg in items:
-            for mpow, inner in gen_bracket(*b, kg, gm):
-                iaxpy(out.setdefault((npow, mpow), {}), sgn * cg, inner)
-    return _exact(out)
+            s = sgn * cg
+            for mpow, inner in gen_bracket(kb, ib, kg, gm):
+                for g, v in inner:
+                    key = npow, mpow, g
+                    out[key] = out.get(key, 0) - s * v
+    return _poly(out)
 
 
 class AxiomReport:
@@ -174,10 +187,9 @@ def check_conformal_axioms(max_dpow: int = 2) -> AxiomReport:
     gens = k4_basis(max_dpow)
     for a in gens:
         for b in gens:
-            d1, d2 = sesquilinearity_defect(a, b)
-            if not (poly_is_zero(d1) and poly_is_zero(d2)):
+            if any(sesquilinearity_defect(a, b)):
                 rep.failures.append(("sesquilinearity", a, b))
-            if not poly_is_zero(skew_defect(a, b)):
+            if skew_defect(a, b):
                 rep.failures.append(("skew", a, b))
             rep.pairs_checked += 1
     for a in gens:

@@ -178,6 +178,50 @@ def test_int_view_rejects_a_non_integer_entry(fresh_solver_caches,
             check(0)
 
 
+def _explicit_psi(a, b):
+    # the default cocycle passed as a caller's psi, so bracket takes its
+    # explicit path and not the memo
+    return an.psi_default(a, b)
+
+
+def _both_paths(x, y):
+    memo, explicit = an.bracket(x, y), an.bracket(x, y, psi=_explicit_psi)
+    assert list(memo.items()) == list(explicit.items()), (x, y)
+    return memo
+
+
+def test_memo_bracket_matches_the_explicit_path():
+    # referee: the one-lookup bracket under the default psi and the
+    # explicit path (plain table, then psi's C term) agree item for item,
+    # order included, on every pair of singletons of basis(1) and C, on a
+    # singleton against a bracket result either way round (the shapes of
+    # the Jacobi slices), and on elements that hold a zero coefficient
+    keys = an.basis(1)
+    single = {k: {k: ONE} for k in keys}
+    pair = {(x, y): _both_paths(single[x], single[y])
+            for x in keys for y in keys}
+    assert any(an.CKEY in v for v in pair.values())
+    for x in keys:
+        for p in pair.values():
+            _both_paths(single[x], p)
+            _both_paths(p, single[x])
+    with_zero = {XI1: ZERO, (0, MASK_ALL): scal(3), an.CKEY: ONE,
+                 (1, mask_of((2,))): I}
+    other = {(0, 0): scal(2), XI1: ONE, (0, complement(XI1[1])): scal(-1)}
+    assert _both_paths(with_zero, other)
+    assert _both_paths(other, with_zero)
+    assert _both_paths({XI1: ZERO}, other) == {}
+
+
+def test_both_bracket_paths_read_a_patched_plain_entry(fresh_solver_caches,
+                                                       monkeypatch):
+    # the memo reads the plain table through the module, so a patched
+    # entry reaches both paths: [xi_1, xi_1] = -1 becomes +1
+    _patch_plain_entry(monkeypatch, lambda c: -c)
+    x = {XI1: ONE}
+    assert _both_paths(x, x) == {(0, 0): ONE}
+
+
 def test_a_flipped_star_sign_fails_both_jacobi_sweeps(fresh_solver_caches,
                                                       monkeypatch):
     # negative control for the int contractions: xi_1 xi_2 = -xi_12 in

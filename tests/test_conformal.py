@@ -80,18 +80,52 @@ def test_axioms_small_sweep():
     assert rep.triples_checked == 16 ** 3
 
 
+def _exact(poly):
+    return {n: {g: scal(c) for g, c in e.items()} for n, e in poly.items()}
+
+
 def test_jacobi_defect_detects_corruption(flipped_xi1_xi2):
     # negative control: [xi_1 lambda xi_2] changes sign; the flip carries
     # through every pd power, so sesquilinearity still holds on the pair,
-    # but skew-symmetry and Jacobi break, and the sweep names the pair
+    # but skew-symmetry and Jacobi break, and the sweep names the pair.
+    # The defects are pinned: skew adds the flipped bracket to itself
     xi1, xi2 = (0, mask_of((1,))), (0, mask_of((2,)))
-    assert cf.jacobi_defect(xi1, xi1, xi2)
-    assert not cf.poly_is_zero(cf.skew_defect(xi1, xi2))
+    flipped = lb(xi((1,)), xi((2,)))
+    assert flipped == _exact({0: {(1, 3): 1}, 1: {(0, 3): 2}})
+    assert cf.skew_defect(xi1, xi2) == _exact({0: {(1, 3): 2}, 1: {(0, 3): 4}})
+    assert cf.skew_defect(xi1, xi2) == {
+        n: {g: c + c for g, c in e.items()} for n, e in flipped.items()}
+    assert cf.jacobi_defect(xi1, xi1, xi2) == _exact(
+        {(0, 0): {(1, 2): -4}, (1, 0): {(0, 2): -6}, (0, 1): {(0, 2): -6}})
     d1, d2 = cf.sesquilinearity_defect(xi1, xi2)
     assert cf.poly_is_zero(d1) and cf.poly_is_zero(d2)
     rep = cf.check_conformal_axioms(0)
     assert ("skew", xi1, xi2) in rep.failures
     assert {f[0] for f in rep.failures} == {"skew", "jacobi"}
+
+
+def test_sesquilinearity_defect_detects_a_negated_pd_bracket(
+        fresh_solver_caches, monkeypatch):
+    # negative control: [pd xi_1 lambda xi_2] alone changes sign, so
+    # -lambda [xi_1 lambda xi_2] no longer matches it; the first half of
+    # the defect is twice the negated value, and the sweep names exactly
+    # the two pairs whose defects read that entry
+    base = cf.gen_bracket
+
+    def negated(ka, im, kb, jm):
+        frozen = base(ka, im, kb, jm)
+        if (ka, im, kb, jm) != (1, 1, 0, 2):
+            return frozen
+        return tuple((n, tuple((g, -c) for g, c in items))
+                     for n, items in frozen)
+
+    monkeypatch.setattr(cf, "gen_bracket", negated)
+    xi1, xi2 = (0, mask_of((1,))), (0, mask_of((2,)))
+    assert cf.sesquilinearity_defect(xi1, xi2) == (
+        _exact({1: {(1, 3): -2}, 2: {(0, 3): -4}}), {})
+    failing = [f[1:] for f in cf.check_conformal_axioms(1).failures
+               if f[0] == "sesquilinearity"]
+    assert failing == [(xi1, xi2), ((1, xi1[1]), xi2)]
 
 
 def test_derived_membership():

@@ -1,6 +1,7 @@
 """Every public name in `src/k4verma` has a caller in the engine, the CLI
-or the benchmark, and no engine module imports the heavy modules in
-SLOW_IMPORTS.
+or the benchmark, no engine module imports the heavy modules in
+SLOW_IMPORTS, and no function writes into a module-level dict, list or
+set.
 
 A public top-level `def` or `class`, or a public method, must be named as
 a code token somewhere in `src/k4verma` outside its own definition, or in
@@ -87,3 +88,107 @@ def test_a_slow_import_is_flagged():
               "class C:\n"
               "    import dataclasses as dc\n")
     assert _slow_imports(source) == ["dataclasses", "inspect", "dataclasses"]
+
+
+# methods that write into the container they are called on, and the
+# engine's accumulate helpers, which write into their first argument
+MUTATORS = ("append", "extend", "insert", "add", "update", "setdefault",
+            "pop", "popitem", "clear", "remove", "discard")
+ACCUMULATORS = ("acc", "axpy", "iaxpy")
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Names that the module body binds to a dict, list or set display,
+    comprehension or constructor call."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, _CONTAINERS) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _base_name(node: ast.AST):
+    """The name that a chain of subscripts and attributes starts from."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _stray_writes(source: str) -> list[str]:
+    """'function: name' for each function that writes into a module-level
+    container it does not shadow.  `fresh_solver_caches` empties only
+    lru_caches, so a memo kept in such a container leaks the entries that
+    one test fills, through a patch, into the tests after it; tables that
+    the module body fills at import are fine."""
+    tree = ast.parse(source)
+    shared = _module_containers(tree)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        own = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        own |= {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        written = []  # a bare name among these is a local, so in own
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                written += node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                written.append(node.target)
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Attribute) and f.attr in MUTATORS:
+                    written.append(f.value)
+                elif (isinstance(f, ast.Name) and f.id in ACCUMULATORS
+                      and node.args):
+                    written.append(node.args[0])
+        name = getattr(fn, "name", "<lambda>")
+        for target in written:
+            base = _base_name(target)
+            if base in shared and base not in own:
+                found.append(f"{name}: {base}")
+    return sorted(set(found))
+
+
+def test_no_function_writes_into_a_module_level_container():
+    assert {p.stem: _stray_writes(p.read_text()) for p in SRC} == \
+        {p.stem: [] for p in SRC}
+
+
+def test_a_stray_memo_is_flagged():
+    # negative control: a dict memo, a set, an accumulate helper and a
+    # nested list are caught; a table filled at import, a local and a
+    # parameter of the same kind are not
+    source = ("_MEMO = {}\n"
+              "_SEEN: set = set()\n"
+              "TABLE = {k: [] for k in range(3)}\n"
+              "for _k in range(3):\n"
+              "    TABLE[_k].append(_k)\n"
+              "def cached(x):\n"
+              "    if x not in _MEMO:\n"
+              "        _MEMO[x] = x * x\n"
+              "    return _MEMO[x]\n"
+              "def note(x, rows):\n"
+              "    _SEEN.add(x)\n"
+              "    acc(TABLE, x, 1)\n"
+              "    out = {}\n"
+              "    out[x] = rows\n"
+              "    rows.append(x)\n"
+              "    return out\n"
+              "def grow(x):\n"
+              "    TABLE[x % 3].append(x)\n"
+              "def shadow(_SEEN):\n"
+              "    _SEEN.add(1)\n")
+    assert _stray_writes(source) == [
+        "cached: _MEMO", "grow: TABLE", "note: TABLE", "note: _SEEN"]

@@ -515,7 +515,8 @@ def test_fresh_solver_caches_finds_the_solver_caches(fresh_solver_caches):
         ("verma", "_dual_template"), ("verma", "_oracle_template"),
         ("weights", "_xi_image"),
         ("coadjoint", "_pairing"), ("coadjoint", "_phi_key"),
-        ("annihilation", "_key_bracket_plain")}
+        ("annihilation", "_key_bracket_plain"),
+        ("annihilation", "_key_bracket")}
     assert all(f.cache_info().currsize == 0 for f in fresh_solver_caches)
 
 
