@@ -89,37 +89,36 @@ def psi_default(a: Key, b: Key) -> ExactScalar:
 
 @lru_cache(maxsize=None)
 def _key_bracket_plain(m: int, im: int, n: int, jm: int) -> tuple:
-    """[t^m xi_I, t^n xi_J] without the central term, frozen.  At most one
-    term survives: the first needs I and J disjoint, the i-th derivative
-    term needs I n J = {i}."""
-    out = []
+    """[t^m xi_I, t^n xi_J] without the central term, frozen as (key, int)
+    items.  At most one term survives: the first needs I and J disjoint,
+    the i-th derivative term needs I n J = {i}."""
     s, mm = STAR[im][jm]
-    c = (2 * n - 2 * m - n * size(im) + m * size(jm)) * s
-    if c and m + n - 1 >= 0:
-        out.append(((m + n - 1, mm), scal(c)))
-    sgn = (-1) ** size(im)
+    if s:
+        c = (2 * n - 2 * m - n * size(im) + m * size(jm)) * s
+        return (((m + n - 1, mm), c),) if c and m + n - 1 >= 0 else ()
     for i in (1, 2, 3, 4):
         si, mi = DERIVE[i][im]
         sj, mj = DERIVE[i][jm]
-        if si and sj:
+        if si and sj:  # the first i in I n J; a term needs I n J = {i}
             st, mk = STAR[mi][mj]
-            if st:
-                out.append(((m + n, mk), scal(sgn * si * sj * st)))
-    return tuple(out)
+            if not st:
+                return ()
+            return (((m + n, mk), (-1) ** size(im) * si * sj * st),)
+    return ()
 
 
 @lru_cache(maxsize=None)
 def _key_bracket(m: int, im: int, n: int, jm: int) -> tuple:
-    """`_key_bracket_plain`'s items with psi_default's C term appended:
-    the default bracket of one key pair, frozen."""
-    items = _key_bracket_plain(m, im, n, jm)
+    """The bracket of one key pair, frozen: `_key_bracket_plain`'s items as
+    ExactScalar, with psi_default's C term appended."""
+    items = tuple([(k, scal(c)) for k, c in _key_bracket_plain(m, im, n, jm)])
     pc = ZERO if m or n else _PSI0[im][jm]  # psi_default on the pair
     return items + ((CKEY, pc),) if pc else items
 
 
-def bracket(a: Element, b: Element, psi=psi_default) -> Element:
-    """Bilinear bracket including the central term psi(.,.) C; under the
-    default psi, one memo lookup per key pair."""
+def bracket(a: Element, b: Element) -> Element:
+    """Bilinear bracket including the central term psi_default(.,.) C, one
+    memo lookup per key pair."""
     out: Element = {}
     for (m, im), ca in a.items():
         if m < 0:  # CKEY, which is central
@@ -127,12 +126,7 @@ def bracket(a: Element, b: Element, psi=psi_default) -> Element:
         for (n, jm), cb in b.items():
             if n < 0:
                 continue
-            cab = ca * cb
-            if psi is psi_default:
-                axpy(out, cab, _key_bracket(m, im, n, jm))
-            else:  # a zero C term leaves out as it is
-                axpy(out, cab, _key_bracket_plain(m, im, n, jm))
-                acc(out, CKEY, psi((m, im), (n, jm)) * cab)
+            axpy(out, ca * cb, _key_bracket(m, im, n, jm))
     return out
 
 
@@ -155,15 +149,6 @@ def basis_of_degree(d: int) -> list[Key]:
 
 # -- axiom checks ------------------------------------------------------------
 
-def _plain_ints(x: Key, y: Key) -> tuple:
-    """`_key_bracket_plain` of (x, y) as int items; never truncates."""
-    items = _key_bracket_plain(*x, *y)
-    for k, c in items:
-        if c._d != 1 or c._b:
-            raise ArithmeticError(f"[{x}, {y}] holds {c} at {k}, not an int")
-    return tuple((k, c._a) for k, c in items)
-
-
 def check_jacobi(max_tpow: int = 3) -> cf.AxiomReport:
     """[a,[b,c]] = [[a,b],c] + (-1)^{p(a)p(b)} [b,[a,c]] for the plain
     bracket over all basis triples, contracted in ints over
@@ -172,20 +157,23 @@ def check_jacobi(max_tpow: int = 3) -> cf.AxiomReport:
     `check_cocycle` checks; `extension_failures` joins the two."""
     rep = cf.AxiomReport()
     keys = basis(max_tpow, with_central=False)
-    plain = lru_cache(maxsize=None)(_plain_ints)
+    plain = _key_bracket_plain
     for a in keys:
+        am, ai = a
         pa = parity(a)
         for b in keys:
+            bm, bi = b
             sgn = (-1) ** (pa * parity(b))
-            ab = plain(a, b)
+            ab = plain(am, ai, bm, bi)
             for c in keys:
+                cm, ci = c
                 out: dict = {}
-                for k, v in plain(b, c):
-                    iaxpy(out, v, plain(a, k))
-                for k, v in ab:
-                    iaxpy(out, -v, plain(k, c))
-                for k, v in plain(a, c):
-                    iaxpy(out, -sgn * v, plain(b, k))
+                for (km, ki), v in plain(bm, bi, cm, ci):
+                    iaxpy(out, v, plain(am, ai, km, ki))
+                for (km, ki), v in ab:
+                    iaxpy(out, -v, plain(km, ki, cm, ci))
+                for (km, ki), v in plain(am, ai, cm, ci):
+                    iaxpy(out, -sgn * v, plain(bm, bi, km, ki))
                 if out:
                     rep.failures.append((a, b, c))
                 rep.triples_checked += 1
@@ -200,7 +188,7 @@ def check_cocycle(max_tpow: int = 3, psi=psi_default) -> cf.AxiomReport:
     int items from the frozen plain table `_key_bracket_plain`."""
     rep = cf.AxiomReport()
     keys = basis(max_tpow, with_central=False)
-    plain, psi_at = map(lru_cache(maxsize=None), (_plain_ints, psi))
+    plain = _key_bracket_plain
     for a in keys:
         for b in keys:
             lhs = psi(a, b)
@@ -209,19 +197,22 @@ def check_cocycle(max_tpow: int = 3, psi=psi_default) -> cf.AxiomReport:
                 rep.failures.append(("skew", a, b))
             rep.pairs_checked += 1
     for a in keys:
+        am, ai = a
         for b in keys:
-            ab = plain(a, b)
+            bm, bi = b
+            ab = plain(am, ai, bm, bi)
             sgn = (-1) ** (parity(a) * parity(b))
             for c in keys:
+                cm, ci = c
                 total = ZERO  # the identity's defect; zero psi skipped
-                for k, v in plain(b, c):
-                    if p := psi_at(a, k):
+                for k, v in plain(bm, bi, cm, ci):
+                    if p := psi(a, k):
                         total = total + p * v
                 for k, v in ab:
-                    if p := psi_at(k, c):
+                    if p := psi(k, c):
                         total = total - p * v
-                for k, v in plain(a, c):
-                    if p := psi_at(b, k):
+                for k, v in plain(am, ai, cm, ci):
+                    if p := psi(b, k):
                         total = total - p * (sgn * v)
                 if total:
                     rep.failures.append(("cocycle", a, b, c))

@@ -92,9 +92,9 @@ def cmd_axioms(args) -> int:
     checks.append(_check("conformal-axioms", rep.ok,
                          pairs=rep.pairs_checked, triples=rep.triples_checked,
                          counterexamples=[repr(f) for f in rep.failures[:3]]))
-    closure = cf.check_derived_closure(args.max_dpow)
-    checks.append(_check("derived-subalgebra-closure", closure,
-                         max_dpow=args.max_dpow))
+    bad = cf.check_derived_closure(args.max_dpow)
+    checks.append(_check("derived-subalgebra-closure", not bad,
+                         max_dpow=args.max_dpow, **_named(bad)))
 
     jac = an.check_jacobi(args.max_tpow)
     coc = an.check_cocycle(args.max_tpow, psi=psi)

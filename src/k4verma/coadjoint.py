@@ -45,7 +45,7 @@ def _pairing(xk: an.Key, fk: an.Key) -> tuple:
     gtarget = an.grade_key(fk) - an.grade_key(xk)
     if gtarget < -2:
         return ()
-    return tuple((yk, c) for yk in an.basis_of_degree(gtarget)
+    return tuple((yk, scal(c)) for yk in an.basis_of_degree(gtarget)
                  for k, c in an._key_bracket_plain(*xk, *yk) if k == fk)
 
 

@@ -515,11 +515,11 @@ def verify_vector(v: VVec, wt: Weight) -> VerifyReport:
     The two routes must agree; a disagreement means the engine itself is
     inconsistent and raises instead of returning.
     """
+    if not any(v.values()):
+        raise ValueError("zero vector is not a singular vector candidate")
     d = degree(v)
     if d == "mixed":
         raise ValueError("candidate must be homogeneous in degree")
-    if not v:
-        raise ValueError("zero vector is not a singular vector candidate")
 
     lam = {imask: lambda_action(imask, v, wt) for imask in ALL_MASKS}
     conds = _conditions(lam)

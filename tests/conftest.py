@@ -5,6 +5,7 @@ import pytest
 
 import k4verma
 from k4verma import conformal
+from k4verma.grassmann import MASK_ALL
 
 MODULES = [importlib.import_module(f"{k4verma.__name__}.{info.name}")
            for info in pkgutil.iter_modules(k4verma.__path__)]
@@ -41,3 +42,20 @@ def flipped_xi1_xi2(fresh_solver_caches, monkeypatch):
                      for n, items in frozen)
 
     monkeypatch.setattr(conformal, "_base_bracket", flipped)
+
+
+@pytest.fixture
+def bare_xi1234_in_xi1_xi234(fresh_solver_caches, monkeypatch):
+    """[xi_1 lambda xi_234], masks (1, 14), gains a bare xi_1234 term at
+    lambda^0 ahead of gen_bracket's memo, so the bracket of every pd power
+    of xi_1 with every pd power of xi_234 leaves K'_4."""
+    base = conformal._base_bracket
+
+    def bare(imask, jmask):
+        frozen = base(imask, jmask)
+        if (imask, jmask) != (1, 14):
+            return frozen
+        return tuple((n, items + (((0, MASK_ALL), 1),) if n == 0 else items)
+                     for n, items in frozen)
+
+    monkeypatch.setattr(conformal, "_base_bracket", bare)

@@ -265,11 +265,15 @@ def test_quotient_morphism_bound_follows_max_tpow(capsys, monkeypatch):
                    "pairs": 96 ** 2, "max_ypow": 5}
 
 
-def test_derived_closure_bound_follows_max_dpow(capsys, monkeypatch):
-    # the sweeps are stubbed: only the closure check's bound is read
+def _stub_axiom_sweeps(monkeypatch):
     for mod, name in ((cf, "check_conformal_axioms"), (an, "check_jacobi"),
                       (an, "check_cocycle"), (an, "check_quotient_morphism")):
         monkeypatch.setattr(mod, name, lambda *a, **k: cf.AxiomReport())
+
+
+def test_derived_closure_bound_follows_max_dpow(capsys, monkeypatch):
+    # the sweeps are stubbed: only the closure check's bound is read
+    _stub_axiom_sweeps(monkeypatch)
     closure, bounds = cf.check_derived_closure, []
 
     def recorded(*args):
@@ -283,6 +287,19 @@ def test_derived_closure_bound_follows_max_dpow(capsys, monkeypatch):
                  if c["name"] == "derived-subalgebra-closure")
     assert entry == {"name": "derived-subalgebra-closure", "ok": True,
                      "max_dpow": 1}
+
+
+def test_derived_closure_names_its_counterexamples(capsys, monkeypatch,
+                                                   bare_xi1234_in_xi1_xi234):
+    _stub_axiom_sweeps(monkeypatch)
+    code, rep = run(capsys, "axioms", "--max-tpow", "0", "--max-dpow", "1")
+    assert code == 1
+    entry = next(c for c in rep["checks"]
+                 if c["name"] == "derived-subalgebra-closure")
+    assert entry == {"name": "derived-subalgebra-closure", "ok": False,
+                     "max_dpow": 1, "counterexamples": [
+                         "((0, 1), (0, 14))", "((0, 1), (1, 14))",
+                         "((1, 1), (0, 14))"]}
 
 
 def test_negative_bounds_are_usage_errors(tmp_path):

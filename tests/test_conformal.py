@@ -135,7 +135,15 @@ def test_derived_membership():
 
 
 def test_derived_closure():
-    assert cf.check_derived_closure(max_dpow=2)
+    assert cf.check_derived_closure(max_dpow=2) == []
+
+
+def test_derived_closure_names_the_pairs_that_leave_k4_prime(
+        bare_xi1234_in_xi1_xi234):
+    # negative control: the bare xi_1234 survives every pd power on either
+    # side, so exactly the pairs (pd^ka xi_1, pd^kb xi_234) fail, in order
+    assert cf.check_derived_closure(max_dpow=2) == [
+        ((ka, 1), (kb, 14)) for ka in range(3) for kb in range(3)]
 
 
 def test_skew_and_sesqui_on_full_basis_pairs():

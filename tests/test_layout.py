@@ -1,7 +1,7 @@
 """Every public name in `src/k4verma` has a caller in the engine, the CLI
 or the benchmark, no engine module imports the heavy modules in
-SLOW_IMPORTS, and no function writes into a module-level dict, list or
-set.
+SLOW_IMPORTS, no function writes into a module-level dict, list or set,
+and only `exact` touches the private fields of `ExactScalar`.
 
 A public top-level `def` or `class`, or a public method, must be named as
 a code token somewhere in `src/k4verma` outside its own definition, or in
@@ -192,3 +192,31 @@ def test_a_stray_memo_is_flagged():
               "    _SEEN.add(1)\n")
     assert _stray_writes(source) == [
         "cached: _MEMO", "grow: TABLE", "note: TABLE", "note: _SEEN"]
+
+
+# ExactScalar's private int fields; other modules go through its operators
+SCALAR_FIELDS = ("_a", "_b", "_d")
+
+
+def _scalar_field_reads(source: str) -> list[str]:
+    """The SCALAR_FIELDS that the source reads or writes as attributes."""
+    return sorted(n.attr for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in SCALAR_FIELDS)
+
+
+def test_only_exact_reads_the_scalar_fields():
+    rest = [p for p in SRC if p.stem != "exact"]
+    assert {p.stem: _scalar_field_reads(p.read_text()) for p in rest} == \
+        {p.stem: [] for p in rest}
+
+
+def test_a_scalar_field_read_is_flagged():
+    # negative control: an int view of a bracket table that reads the
+    # scalar's fields
+    source = ("def _plain_ints(x, y):\n"
+              "    items = _key_bracket_plain(*x, *y)\n"
+              "    for k, c in items:\n"
+              "        if c._d != 1 or c._b:\n"
+              "            raise ArithmeticError(f'{x} {y} {c} {k}')\n"
+              "    return tuple((k, c._a) for k, c in items)\n")
+    assert _scalar_field_reads(source) == ["_a", "_b", "_d"]

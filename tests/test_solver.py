@@ -416,6 +416,13 @@ def test_verify_vector_rejects_shifted_weight():
     assert not rep.ok and rep.failures
 
 
+@pytest.mark.parametrize("key", [(0, 0, (0, 0)), (0, 1, (0, 0))])
+def test_verify_vector_rejects_an_all_zero_vector(key):
+    # a zero coefficient does not make a candidate; degree() drops it
+    with pytest.raises(ValueError, match="zero vector"):
+        sv.verify_vector({key: scal(0)}, weight(0, 0, 0, 0))
+
+
 def test_verify_vector_requires_homogeneous_input():
     wt, v = sv.build_theorem_vector("1a", 0, 0)
     mixed = {**v, (1, 0, (0, 0)): ONE}
