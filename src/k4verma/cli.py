@@ -286,16 +286,18 @@ def cmd_coadjoint(args) -> int:
     t0 = time.time()
     iso = co.check_phi_iso(args.max_degree)
     half = args.max_degree // 2
+    missed = co.iterated_action_failures(half)
+    unraised = co.raising_failures(half)
     checks = [
         _check("degreewise-bijective", all(iso.bijective),
                dims=list(iso.dims), max_degree=iso.max_degree),
         _check("equivariance-sampled", iso.equivariant,
                max_degree=iso.sample_degree),
         _check("linearity", iso.linear, max_degree=iso.sample_degree),
-        _check("iterated-action-nonzero",
-               co.iterated_action_hits_dual_basis(half), max_theta_pow=half),
-        _check("raising-returns-to-theta-star",
-               co.raising_returns_to_theta_star(half), max_tpow=half),
+        _check("iterated-action-nonzero", not missed, max_theta_pow=half,
+               **_named(missed)),
+        _check("raising-returns-to-theta-star", not unraised, max_tpow=half,
+               **_named(unraised)),
         _check("t-scales-theta-star",
                co.coadjoint_act({(1, 0): ONE}, dict(co.THETA_STAR))
                == {(0, 0): scal(-4)}),

@@ -151,22 +151,25 @@ def check_phi_iso(max_degree: int) -> IsoReport:
                      equi, phi_image(combo) == lin_rhs)
 
 
-def iterated_action_hits_dual_basis(smax: int) -> bool:
-    """Theta^s then xi_{i_1 < ... < i_p} on Theta* lands on one dual line,
-    for every mask and s <= smax."""
+def iterated_action_failures(smax: int) -> list[an.Key]:
+    """The keys (s, mask), s <= smax, in sweep order, where Theta^s then
+    xi_{i_1 < ... < i_p} on Theta* misses the one dual line (t^s xi_I)*."""
+    bad = []
     for mask in ALL_MASKS:
         for s in range(smax + 1):
             f = phi_image({(s, mask, (0, 0)): ONE})
             if set(f) != {(s, mask)} or f[(s, mask)].is_zero():
-                return False
-    return True
+                bad.append((s, mask))
+    return bad
 
 
-def raising_returns_to_theta_star(mmax: int) -> bool:
-    """t^{m+1} xi_I applied to (t^m xi_I)* is a nonzero multiple of Theta*."""
+def raising_failures(mmax: int) -> list[an.Key]:
+    """The keys (m, I), m <= mmax, in sweep order, where t^{m+1} xi_I
+    applied to (t^m xi_I)* is no nonzero multiple of Theta*."""
+    bad = []
     for mask in ALL_MASKS:
         for m in range(mmax + 1):
             got = coadjoint_act({(m + 1, mask): ONE}, {(m, mask): ONE})
             if set(got) != {(0, 0)} or got[(0, 0)].is_zero():
-                return False
-    return True
+                bad.append((m, mask))
+    return bad

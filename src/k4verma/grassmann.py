@@ -118,3 +118,6 @@ PARTIAL = tuple(tuple(derive_seq(indices_of(a), m) for m in range(16))
                 for a in range(16))
 
 ALL_MASKS = tuple(range(16))
+# the six pair masks, in lexicographic order of (i, j) with i < j; xi_j xi_i
+# is STAR[1 << (j-1)][1 << (i-1)], which is -xi_ij at j > i and 0 at j = i
+PAIRS = tuple(mask_of((i, j)) for i in INDICES for j in INDICES if i < j)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 from .annihilation import grade_key
 from .exact import (ExactScalar, I, ONE, ZERO, RowReducer, axpy, scal,
                     sparse_nullspace)
-from .grassmann import ALL_MASKS, indices_of, mask_of, size
+from .grassmann import ALL_MASKS, PAIRS, indices_of, mask_of, size
 from .verma import LambdaVal, VKey, VVec, act_elem, degree, \
     dual_lambda_action, lambda_action, transform_T, w_mul
 from .weights import SL2_IN_XI, Weight, weight
@@ -203,7 +203,7 @@ def _reached(cols: Sequence[VKey]) -> set:
 
 # the generator groups by which _k0 evaluates the rows: the six pair
 # masks, with e1 and e2, which read them, then each other mask alone by |I|
-_K0_GROUPS = (tuple(m for m in ALL_MASKS if size(m) == 2),) + tuple(
+_K0_GROUPS = (PAIRS,) + tuple(
     (m,) for m in sorted(ALL_MASKS, key=size) if size(m) != 2)
 
 

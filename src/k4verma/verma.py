@@ -38,9 +38,9 @@ from math import factorial
 
 from . import annihilation as an
 from .exact import ExactScalar, ONE, acc, axpy, scal
-from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, PARTIAL, STAR,
+from .grassmann import (DERIVE, EPS, HODGE, MASK_ALL, PAIRS, PARTIAL, STAR,
                         complement, derive_seq, indices_of, size)
-from .weights import MonKey, Weight, act_g0, pair_mask
+from .weights import MonKey, Weight, act_g0
 
 VKey = tuple[int, int, MonKey]      # (Theta power, eta mask, F monomial)
 VVec = dict[VKey, ExactScalar]
@@ -115,6 +115,13 @@ def _check_masks(imask: int, lmask: int) -> None:
             raise ValueError(f"{name} mask {mask} is outside 0..{MASK_ALL}")
 
 
+def _check_power(k: int) -> None:
+    """Cold template builds run this too: below 0 the Theta recursion
+    would never reach its base."""
+    if k < 0:
+        raise ValueError(f"Theta power {k} is below 0")
+
+
 def _primal_base(imask: int, lmask: int) -> tuple:
     """Slices of xi_I lambda (eta_L (x) v), Theta power zero.  C enters at
     lambda^p, p = 3 - |I| >= 0, as (-1)^(p(p-1)/2) eps_I d_{I^c} eta_L (x) Cv."""
@@ -135,17 +142,12 @@ def _primal_base(imask: int, lmask: int) -> tuple:
             s2, l2 = PARTIAL[i2][sl]
             if s2:
                 terms[0].append((scal(s1 * ss * s2), 0, l2, None))
-    for i in iidx:
-        for j in iidx:
-            if i < j:
-                s1, i2 = PARTIAL[(1 << (i - 1)) | (1 << (j - 1))][imask]
-                if s1:
-                    s2, l2 = PARTIAL[i2][lmask]
-                    if s2:
-                        ps, pm = pair_mask(j, i)
-                        if ps:
-                            terms[0].append((scal(isign * s1 * s2 * ps), 0,
-                                             l2, (0, pm)))
+    for pm in PAIRS:                    # xi_{j,i} = -xi_pm at i < j
+        s1, i2 = PARTIAL[pm][imask]
+        if s1:
+            s2, l2 = PARTIAL[i2][lmask]
+            if s2:
+                terms[0].append((scal(-isign * s1 * s2), 0, l2, (0, pm)))
 
     # lambda^1
     if s0:
@@ -159,26 +161,18 @@ def _primal_base(imask: int, lmask: int) -> tuple:
                 terms[1].append((scal(lsign * s1 * ss), 0, l2, None))
     for i in iidx:
         s1, i2 = DERIVE[i][imask]
-        for j in (1, 2, 3, 4):
-            if j == i:
-                continue
+        for j in indices_of(lmask):
+            ps, pm = STAR[1 << (j - 1)][1 << (i - 1)]
             s2, l1 = DERIVE[j][lmask]
-            if not s2:
-                continue
             s3, l2 = PARTIAL[i2][l1]
-            if s3:
-                ps, pm = pair_mask(j, i)
-                if ps:
-                    terms[1].append((scal(s1 * s2 * s3 * ps), 0, l2, (0, pm)))
+            if ps and s3:
+                terms[1].append((scal(s1 * s2 * s3 * ps), 0, l2, (0, pm)))
 
     # lambda^2
-    for i in (1, 2, 3, 4):
-        for j in range(i + 1, 5):
-            s, l2 = derive_seq(iidx + (i, j), lmask)
-            if s:
-                ps, pm = pair_mask(j, i)
-                if ps:
-                    terms[2].append((scal(isign * s * ps), 0, l2, (0, pm)))
+    for pm in PAIRS:
+        s, l2 = derive_seq(iidx + indices_of(pm), lmask)
+        if s:
+            terms[2].append((scal(-isign * s), 0, l2, (0, pm)))
 
     # C, at lambda^(3 - |I|)
     p = 3 - ilen
@@ -211,6 +205,7 @@ def _theta_step(prev: tuple, imask: int, kprev: int, lmask: int) -> tuple:
 def _primal_template(imask: int, k: int, lmask: int) -> tuple:
     if k == 0:
         return _primal_base(imask, lmask)
+    _check_power(k)
     return _theta_step(_primal_template(imask, k - 1, lmask), imask, k - 1, lmask)
 
 
@@ -235,17 +230,12 @@ def _dual_base(imask: int, lmask: int) -> tuple:
             if s3:
                 terms[0].append((scal(-pref * (-1) ** ilen * s1 * s2 * s3),
                                  0, m, None))
-    for r in iidx:
-        for s_ in iidx:
-            if r < s_:
-                s1, i2 = PARTIAL[(1 << (r - 1)) | (1 << (s_ - 1))][imask]
-                if s1:
-                    s2, m = STAR[i2][lmask]
-                    if s2:
-                        ps, pm = pair_mask(s_, r)
-                        if ps:
-                            terms[0].append((scal(-pref * s1 * s2 * ps),
-                                             0, m, (0, pm)))
+    for pm in PAIRS:                    # xi_{j,i} = -xi_pm at i < j
+        s1, i2 = PARTIAL[pm][imask]
+        if s1:
+            s2, m = STAR[i2][lmask]
+            if s2:
+                terms[0].append((scal(pref * s1 * s2), 0, m, (0, pm)))
 
     # lambda^1
     if s0:
@@ -264,30 +254,22 @@ def _dual_base(imask: int, lmask: int) -> tuple:
         s1, ij = STAR[imask][1 << (j - 1)]
         if not s1:
             continue
-        for i in (1, 2, 3, 4):
-            if i == j:
-                continue
+        for i in indices_of(ij):
+            ps, pm = STAR[1 << (j - 1)][1 << (i - 1)]
             s2, d = DERIVE[i][ij]
-            if not s2:
-                continue
             s3, m = STAR[d][lmask]
-            if s3:
-                ps, pm = pair_mask(j, i)
-                if ps:
-                    terms[1].append((scal(pref * (-1) ** ilen * s1 * s2 * s3
-                                          * ps), 0, m, (0, pm)))
+            if ps and s3:
+                terms[1].append((scal(pref * (-1) ** ilen * s1 * s2 * s3 * ps),
+                                 0, m, (0, pm)))
 
     # lambda^2
-    for i in (1, 2, 3, 4):
-        for j in range(i + 1, 5):
-            s1, iij = STAR[imask][(1 << (i - 1)) | (1 << (j - 1))]
-            if not s1:
-                continue
-            s2, m = STAR[iij][lmask]
-            if s2:
-                ps, pm = pair_mask(j, i)
-                if ps:
-                    terms[2].append((scal(-pref * s1 * s2 * ps), 0, m, (0, pm)))
+    for pm in PAIRS:
+        s1, iij = STAR[imask][pm]
+        if not s1:
+            continue
+        s2, m = STAR[iij][lmask]
+        if s2:
+            terms[2].append((scal(pref * s1 * s2), 0, m, (0, pm)))
 
     # C, at lambda^(3 - |I|)
     p = 3 - ilen
@@ -303,6 +285,7 @@ def _dual_base(imask: int, lmask: int) -> tuple:
 def _dual_template(imask: int, k: int, lmask: int) -> tuple:
     if k == 0:
         return _dual_base(imask, lmask)
+    _check_power(k)
     return _theta_step(_dual_template(imask, k - 1, lmask), imask, k - 1, lmask)
 
 
@@ -353,6 +336,7 @@ def _oracle_template(m: int, imask: int, k: int, lmask: int) -> tuple:
     recursion leaves the one term ((ONE, k, lmask, CKEY),)."""
     if not 0 <= imask <= MASK_ALL or (m < 0 and (m, imask) != an.CKEY):
         raise ValueError(f"{(m, imask)} is not a basis key")
+    _check_power(k)
     out: dict = {}
     if k > 0:
         # a.(Theta u) = [a, Theta].u + Theta.(a.u)

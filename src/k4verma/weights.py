@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .annihilation import CKEY, Key
 from .exact import ExactScalar, I, ONE, ZERO, acc, axpy, inverse, scal
-from .grassmann import mask_of
+from .grassmann import PAIRS, indices_of
 
 MonKey = tuple[int, int]            # (number of x1 factors, number of y1 factors)
 Vector = dict[MonKey, ExactScalar]
@@ -50,7 +50,7 @@ class Weight(NamedTuple):
 
 
 def weight(m: int, n: int, mu_t, mu_C) -> Weight:
-    if m < 0 or n < 0:
+    if not (isinstance(m, int) and isinstance(n, int)) or m < 0 or n < 0:
         raise ValueError("sl2 labels must be nonnegative integers")
     return Weight(m, n, ExactScalar._coerce(mu_t), ExactScalar._coerce(mu_C))
 
@@ -93,17 +93,14 @@ SL2_IN_XI: dict[str, dict[tuple[int, int], ExactScalar]] = {
     "e_y": {(1, 3): -_HALF, (2, 4): _HALF, (1, 4): _IH, (2, 3): _IH},
     "f_y": {(1, 3): _HALF, (2, 4): -_HALF, (1, 4): _IH, (2, 3): _IH},
 }
-XI_COLUMNS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-_XI_IN_SL2 = inverse([[SL2_IN_XI[op].get(col, ZERO) for col in XI_COLUMNS]
-                      for op in SL2_OPS])
+_XI_IN_SL2 = inverse([[SL2_IN_XI[op].get(indices_of(pm), ZERO)
+                       for pm in PAIRS] for op in SL2_OPS])
 
-# XI_COMBO[mask] = [(coefficient, sl2 op name), ...] for each pair monomial;
-# row j of the inverse expresses xi_{pair j} in the sl2 basis
-XI_COMBO: dict[int, list[tuple[ExactScalar, str]]] = {}
-for _j, _col in enumerate(XI_COLUMNS):
-    XI_COMBO[mask_of(_col)] = [
-        (c, SL2_OPS[_k]) for _k, c in enumerate(_XI_IN_SL2[_j])
-        if not c.is_zero()]
+# XI_COMBO[pm] = [(coefficient, sl2 op name), ...] for each pair mask pm;
+# row j of the inverse expresses xi_{PAIRS[j]} in the sl2 basis
+XI_COMBO: dict[int, list[tuple[ExactScalar, str]]] = {
+    pm: [(c, SL2_OPS[k]) for k, c in enumerate(row) if not c.is_zero()]
+    for pm, row in zip(PAIRS, _XI_IN_SL2)}
 
 
 @lru_cache(maxsize=None)
@@ -125,15 +122,6 @@ def act_g0(key: Key, wt: Weight, mon: MonKey) -> tuple:
         mu = wt.mu_C if key == CKEY else wt.mu_t
         return () if mu.is_zero() else ((mon, mu),)
     raise ValueError(f"{key} is not a degree-zero basis key")
-
-
-def pair_mask(j: int, i: int) -> tuple[int, int]:
-    """xi_{j,i} resolved to +-xi_{ordered pair}: (sign, mask)."""
-    if i == j:
-        return 0, 0
-    if j < i:
-        return 1, mask_of((j, i))
-    return -1, mask_of((i, j))
 
 
 def lowering_word(key: MonKey, wt: Weight) -> tuple[ExactScalar, tuple[int, int]]:

@@ -28,10 +28,10 @@ from k4verma import solver as sv
 from k4verma import verma
 from k4verma.cli import main
 from k4verma.exact import ONE, axpy, scal
-from k4verma.grassmann import MASK_ALL, mask_of
+from k4verma.grassmann import MASK_ALL, STAR, mask_of
 from k4verma.verma import act, act_oracle, dual_lambda_action, theta_mul, \
     transform_T
-from k4verma.weights import act_g0, pair_mask, weight
+from k4verma.weights import act_g0, weight
 
 F = Fraction
 NEGATIVE_SEED = 1156
@@ -156,7 +156,7 @@ _SAMPLED_MU = [
 
 
 def _xi_op(j: int, i: int, fvec: dict, wt) -> dict:
-    ps, pm = pair_mask(j, i)
+    ps, pm = STAR[1 << (j - 1)][1 << (i - 1)]
     out: dict = {}
     for mon, c in fvec.items():
         axpy(out, c * scal(ps), act_g0((0, pm), wt, mon))
@@ -475,31 +475,38 @@ def test_criterion_11_coadjoint_identification(coadjoint):
                 "vectors of degrees 1-3", failures)
 
 
-@pytest.mark.parametrize("corrupt, failing", [
+@pytest.mark.parametrize("corrupt, failing, witnesses", [
     (lambda xk, fk, entry: () if xk == (0, 2) else entry,
      {"degreewise-bijective", "equivariance-sampled",
-      "iterated-action-nonzero", "action-is-a-representation"}),
+      "iterated-action-nonzero", "action-is-a-representation"},
+     {"iterated-action-nonzero": ["(0, 2)", "(1, 2)", "(2, 2)"]}),
     (lambda xk, fk, entry: tuple((yk, -c) for yk, c in entry)
      if (xk, fk) == ((0, 1), (0, 0)) else entry,
-     {"equivariance-sampled", "action-is-a-representation"}),
+     {"equivariance-sampled", "action-is-a-representation"}, {}),
     (lambda xk, fk, entry: tuple((yk, -c) for yk, c in entry)
      if (xk, fk) == ((0, 0), (2, 0)) else entry,
-     {"action-is-a-representation"}),
+     {"action-is-a-representation"}, {}),
     (lambda xk, fk, entry: tuple((yk, -c) for yk, c in entry)
      if (xk, fk) == ((2, 1), (1, 1)) else entry,
-     {"action-is-a-representation"}),
+     {"action-is-a-representation"}, {}),
+    (lambda xk, fk, entry: () if (xk, fk) == ((2, 1), (1, 1)) else entry,
+     {"raising-returns-to-theta-star", "action-is-a-representation"},
+     {"raising-returns-to-theta-star": ["(1, 1)"]}),
 ], ids=["xi2-entries-dropped", "one-xi1-sign-flipped",
-        "one-theta-sign-flipped", "one-raising-sign-flipped"])
+        "one-theta-sign-flipped", "one-raising-sign-flipped",
+        "one-raising-entry-dropped"])
 def test_criterion_11_fails_on_a_corrupted_pairing_table(
-        fresh_solver_caches, monkeypatch, corrupt, failing):
+        fresh_solver_caches, monkeypatch, corrupt, failing, witnesses):
     # negative control: the table function itself is corrupted, ahead of
     # its cache, so every coadjoint action reads the bad entry; the caches
     # are emptied first, so no image of phi built from the true table is
-    # served
+    # served; each non-vanishing check names its first failing keys
     pairing = co._pairing
     monkeypatch.setattr(co, "_pairing",
                         lambda xk, fk: corrupt(xk, fk, pairing(xk, fk)))
-    _criterion_11_fails_naming(failing)
+    rep = _criterion_11_fails_naming(failing)
+    assert {c["name"]: c["counterexamples"] for c in rep["checks"]
+            if c["name"] in witnesses} == witnesses
 
 
 @pytest.mark.parametrize("flipped", [(1, 0), (0, mask_of((2, 4))),
@@ -524,9 +531,9 @@ def test_criterion_11_fails_on_a_flipped_phi_image(
     _criterion_11_fails_naming({"equivariance-sampled"})
 
 
-def _criterion_11_fails_naming(failing: set) -> None:
+def _criterion_11_fails_naming(failing: set) -> dict:
     # the run must exit 1 and the criterion must fail naming each failing
-    # entry
+    # entry; the report is returned
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["coadjoint", "--max-degree", "6"])
@@ -536,3 +543,4 @@ def _criterion_11_fails_naming(failing: set) -> None:
     msg = _fails(test_criterion_11_coadjoint_identification, rep)
     for name in failing:
         assert f"{{'name': '{name}', 'ok': False" in msg
+    return rep

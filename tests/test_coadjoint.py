@@ -83,3 +83,15 @@ def test_pairing_table_matches_the_brute_force_action():
         for fk in fkeys:
             f = {fk: scal(2, -1)}
             assert co.coadjoint_act(x, f) == _brute_force_act(x, f), (x, fk)
+
+
+def test_iterated_action_names_every_failing_key(fresh_solver_caches,
+                                                 monkeypatch):
+    # without the pairing entries of xi_2, Theta^s eta_I misses its dual
+    # line wherever 2 is in I: all 32 keys (s, I), in sweep order; the
+    # report names only the first three
+    pairing = co._pairing
+    monkeypatch.setattr(co, "_pairing", lambda xk, fk: () if xk == (0, 2)
+                        else pairing(xk, fk))
+    assert co.iterated_action_failures(3) == \
+        [(s, mask) for mask in range(16) if mask & 2 for s in range(4)]

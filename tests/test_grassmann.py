@@ -41,6 +41,17 @@ def test_star_matches_word_oracle():
                 assert gr.indices_of(mask) == oword
 
 
+def test_pairs_and_the_product_of_two_generators():
+    # xi_j xi_i is the one sign rule for a pair: 0 at i = j, else +-xi_ij
+    # with the minus at j > i; PAIRS lists the pair masks lexicographically
+    for j in (1, 2, 3, 4):
+        for i in (1, 2, 3, 4):
+            want = (0, 0) if i == j else \
+                (-1 if j > i else 1, gr.mask_of((i, j)))
+            assert gr.STAR[1 << (j - 1)][1 << (i - 1)] == want
+    assert gr.PAIRS == (0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100)
+
+
 def test_eps_frozen_table():
     expect = {
         (): 1, (1,): 1, (2,): -1, (3,): 1, (4,): -1,
@@ -108,12 +119,12 @@ def test_derivative_is_odd_derivation():
         for b in all_subsets():
             am, bm = gr.mask_of(a), gr.mask_of(b)
             for i in (1, 2, 3, 4):
-                ps, pm = gr.STAR[am][bm]
+                ws, wm = gr.STAR[am][bm]
                 lhs = {}
-                if ps:
-                    ds, dm = gr.derive(i, pm)
+                if ws:
+                    ds, dm = gr.derive(i, wm)
                     if ds:
-                        lhs[dm] = ps * ds
+                        lhs[dm] = ws * ds
                 rhs: dict[int, int] = {}
                 da, dam = gr.derive(i, am)
                 if da:

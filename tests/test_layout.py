@@ -1,7 +1,8 @@
 """Every public name in `src/k4verma` has a caller in the engine, the CLI
 or the benchmark, no engine module imports the heavy modules in
 SLOW_IMPORTS, no function writes into a module-level dict, list or set,
-and only `exact` touches the private fields of `ExactScalar`.
+only `exact` touches the private fields of `ExactScalar`, and the
+closed-form bases in `verma` read their signs from the `grassmann` tables.
 
 A public top-level `def` or `class`, or a public method, must be named as
 a code token somewhere in `src/k4verma` outside its own definition, or in
@@ -11,7 +12,9 @@ in TEST_REFEREES.
 """
 
 import ast
+import builtins
 import io
+import symtable
 import tokenize
 from pathlib import Path
 
@@ -220,3 +223,41 @@ def test_a_scalar_field_read_is_flagged():
               "            raise ArithmeticError(f'{x} {y} {c} {k}')\n"
               "    return tuple((k, c._a) for k, c in items)\n")
     assert _scalar_field_reads(source) == ["_a", "_b", "_d"]
+
+
+# what the closed-form bases may read at module level: the Grassmann tables
+# and helpers, the scalar constructor, the algebra and the mask check; the
+# sign of a pair of odd generators lives in grassmann alone
+BASE_GLOBALS = {"DERIVE", "EPS", "PAIRS", "PARTIAL", "STAR", "complement",
+                "derive_seq", "indices_of", "size", "scal", "an",
+                "_check_masks"}
+
+
+def _globals_read(source: str, func: str) -> set[str]:
+    """The module-level names, builtins aside, that the top-level function
+    func of the source and the scopes nested in it read."""
+    tables = [t for t in symtable.symtable(source, "<source>", "exec")
+              .get_children() if t.get_name() == func]
+    names = set()
+    while tables:
+        table = tables.pop()
+        names.update(table.get_globals())
+        tables += table.get_children()
+    return names - set(dir(builtins))
+
+
+def test_the_closed_form_bases_read_only_the_grassmann_tables():
+    source = (ROOT / "src" / "k4verma" / "verma.py").read_text()
+    for func in ("_primal_base", "_dual_base"):
+        assert _globals_read(source, func) - BASE_GLOBALS == set(), func
+
+
+def test_a_second_pair_rule_is_flagged():
+    # negative control: a base that resolves xi_{j,i} through a sign helper
+    # of another module, called in a nested scope, instead of reading STAR
+    source = ("def _primal_base(imask, lmask):\n"
+              "    terms = [pair_sign(j, i) for i in indices_of(imask)\n"
+              "             for j in range(1, 5)]\n"
+              "    return tuple(STAR[imask][lmask] for _ in terms)\n")
+    assert _globals_read(source, "_primal_base") - BASE_GLOBALS == \
+        {"pair_sign"}

@@ -8,6 +8,7 @@ from k4verma import annihilation as an
 from k4verma import verma as vm
 from k4verma.exact import ONE, ExactScalar, acc, axpy, scal
 from k4verma.grassmann import EPS, MASK_ALL, mask_of, size
+from k4verma.solver import verify_vector
 from k4verma.weights import weight
 
 WT = weight(1, 1, scal("5/2"), scal(-3, "1/2"))
@@ -304,3 +305,21 @@ def test_masks_outside_0_to_15_are_rejected(mask):
             action(mask, v, wt)
         with pytest.raises(ValueError, match=f"eta mask {mask} is "):
             action(3, bad_eta, wt)
+
+
+def test_negative_theta_powers_are_rejected():
+    # the cold build of each template, closed form or oracle, names a Theta
+    # power below 0, where its recursion on the power would never end
+    wt = weight(1, 0, 2, 1)
+    v = {(-1, mask_of((1, 2)), (0, 0)): ONE}
+    msg = "^Theta power -1 is below 0$"
+    for action in (vm.lambda_action, vm.dual_lambda_action):
+        with pytest.raises(ValueError, match=msg):
+            action(1, v, wt)
+    for action in (vm.act, vm.act_oracle):
+        with pytest.raises(ValueError, match=msg):
+            action((0, 1), v, wt)
+    with pytest.raises(ValueError, match=msg):
+        verify_vector(v, wt)
+    # act reads no template beyond lambda^(k + 3), so t^3 finds nothing
+    assert vm.act((3, 1), v, wt) == {}

@@ -5,7 +5,7 @@ import pytest
 from k4verma import annihilation as an
 from k4verma import weights as wt
 from k4verma.exact import ONE, axpy, scal, sparse_nullspace
-from k4verma.grassmann import mask_of
+from k4verma.grassmann import PAIRS, mask_of
 
 
 def W(m, n, t="5/2", c="-3"):
@@ -52,8 +52,9 @@ def test_str_keeps_the_imaginary_part_of_mu():
 
 
 def test_negative_sl2_labels_are_rejected():
-    # weight() is where every Weight in the engine is checked
-    for m, n in ((-1, 0), (0, -1)):
+    # weight() is where every Weight in the engine is checked; a label that
+    # is no integer would otherwise fail only later, in range()
+    for m, n in ((-1, 0), (0, -1), (1.5, 0), (0, 1.5)):
         with pytest.raises(ValueError,
                            match="^sl2 labels must be nonnegative integers$"):
             wt.weight(m, n, 0, 0)
@@ -159,7 +160,7 @@ def test_sl2_relations_up_to_44():
 def test_g0_action_matches_algebra_bracket():
     # the module axiom for the even part, checked against the closed-form
     # bracket of the annihilation algebra
-    g0keys = [(1, 0)] + [(0, mask_of(p)) for p in wt.XI_COLUMNS] + [an.CKEY]
+    g0keys = [(1, 0)] + [(0, pm) for pm in PAIRS] + [an.CKEY]
     for m, n in [(0, 0), (1, 1), (2, 1), (3, 3)]:
         w = W(m, n)
         for key in w.keys():
